@@ -3,7 +3,7 @@
 
 use cisa_bench::Harness;
 use cisa_explore::multicore::{search, Budget, Objective, SearchConfig};
-use cisa_explore::{candidates, SystemKind};
+use cisa_explore::{candidates, par_map, SystemKind};
 
 fn main() {
     let h = Harness::load();
@@ -50,7 +50,7 @@ fn main() {
             },
         ),
     ];
-    let scores = h.runner.map(&variants, |(_, cfg)| {
+    let scores = par_map(&variants, h.runner.threads(), |(_, cfg)| {
         search(&eval, &all, Objective::Throughput, budget, cfg)
             .map(|r| r.score)
             .unwrap_or(f64::NAN)

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use cisa_bench::results_dir;
+use cisa_bench::{baseline_number, results_dir};
 use cisa_explore::{par_map, probes_run, threads, DesignSpace, SweepRunner};
 use cisa_isa::FeatureSet;
 use cisa_workloads::{all_phases, PhaseSpec};
@@ -126,7 +126,7 @@ fn main() {
     if let Some(path) = baseline {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-        let base_speedup = extract_number(&text, "speedup")
+        let base_speedup = baseline_number(&text, "speedup")
             .unwrap_or_else(|| panic!("no \"speedup\" field in {}", path.display()));
         let floor = base_speedup * GATE_RETENTION;
         println!("gate: measured {speedup:.2}x vs baseline {base_speedup:.2}x (floor {floor:.2}x)");
@@ -139,17 +139,4 @@ fn main() {
         }
         println!("gate: ok");
     }
-}
-
-/// Pulls the number following `"key":` out of a flat JSON object. The
-/// workspace has no JSON dependency; the baseline file is machine
-/// written, so a field scan is reliable enough for the gate.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

@@ -3,7 +3,9 @@
 
 use cisa_bench::Harness;
 use cisa_explore::multicore::{search, Budget, CoreChoice, Objective};
-use cisa_explore::{candidates, constrained_candidates, sensitivity_constraints, SystemKind};
+use cisa_explore::{
+    candidates, constrained_candidates, par_map, sensitivity_constraints, SystemKind,
+};
 use cisa_power::core_budget;
 
 fn breakdown(h: &Harness, cores: &[CoreChoice; 4]) -> [f64; 7] {
@@ -42,7 +44,7 @@ fn main() {
         rows.push(("unconstrained".into(), r.cores.to_vec()));
     }
     let constraints = sensitivity_constraints();
-    let found = h.runner.map(&constraints, |(name, constraint)| {
+    let found = par_map(&constraints, h.runner.threads(), |(name, constraint)| {
         let cands = constrained_candidates(&h.space, constraint);
         search(&eval, &cands, Objective::Throughput, budget, &cfg)
             .map(|r| (name.clone(), r.cores.to_vec()))

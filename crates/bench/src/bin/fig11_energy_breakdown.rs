@@ -10,7 +10,9 @@ use cisa_bench::Harness;
 use cisa_explore::interval::evaluate;
 use cisa_explore::multicore::{search, Budget, CoreChoice, Objective};
 use cisa_explore::profile::probe;
-use cisa_explore::{candidates, constrained_candidates, sensitivity_constraints, SystemKind};
+use cisa_explore::{
+    candidates, constrained_candidates, par_map, sensitivity_constraints, SystemKind,
+};
 use cisa_power::energy;
 use cisa_sim::{Activity, SimResult};
 use cisa_workloads::all_phases;
@@ -101,7 +103,7 @@ fn main() {
         rows.push(("unconstrained".into(), r.cores));
     }
     let constraints = sensitivity_constraints();
-    let found = h.runner.map(&constraints, |(name, constraint)| {
+    let found = par_map(&constraints, h.runner.threads(), |(name, constraint)| {
         let cands = constrained_candidates(&h.space, constraint);
         search(&eval, &cands, Objective::Throughput, budget, &cfg).map(|r| (name.clone(), r.cores))
     });

@@ -3,7 +3,7 @@
 
 use cisa_bench::{Harness, POWER_BUDGETS};
 use cisa_explore::multicore::Objective;
-use cisa_explore::{search_system, SystemKind};
+use cisa_explore::{par_map, search_system, SystemKind};
 use cisa_migrate::{MigrationConfig, MigrationSim};
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
         "{:<12} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "budget", "free", "with costs", "degradation", "migrations", "downgrades"
     );
-    let reports = h.runner.map(&POWER_BUDGETS, |&(_, budget)| {
+    let reports = par_map(&POWER_BUDGETS, h.runner.threads(), |&(_, budget)| {
         search_system(
             &eval,
             SystemKind::CompositeFull,

@@ -4,7 +4,7 @@
 
 use cisa_bench::{Harness, AREA_BUDGETS, POWER_BUDGETS};
 use cisa_explore::multicore::Objective;
-use cisa_explore::{search_system, SystemKind};
+use cisa_explore::{par_map, search_system, SystemKind};
 
 fn main() {
     let h = Harness::load();
@@ -21,7 +21,7 @@ fn main() {
             .iter()
             .flat_map(|&kind| (0..budgets.len()).map(move |bi| (kind, bi)))
             .collect();
-        let scores = h.runner.map(&grid, |&(kind, bi)| {
+        let scores = par_map(&grid, h.runner.threads(), |&(kind, bi)| {
             search_system(&eval, kind, Objective::Throughput, budgets[bi].1, &cfg)
                 .map(|r| r.score)
                 .unwrap_or(f64::NAN)

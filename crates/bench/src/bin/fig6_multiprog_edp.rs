@@ -4,7 +4,7 @@
 
 use cisa_bench::{Harness, AREA_BUDGETS, POWER_BUDGETS};
 use cisa_explore::multicore::Objective;
-use cisa_explore::{search_system, SystemKind};
+use cisa_explore::{par_map, search_system, SystemKind};
 
 fn main() {
     let h = Harness::load();
@@ -21,7 +21,7 @@ fn main() {
             .collect();
         // score is EDP *gain* vs the reference chip; invert to an EDP
         // value for the figure.
-        let edps = h.runner.map(&grid, |&(kind, bi)| {
+        let edps = par_map(&grid, h.runner.threads(), |&(kind, bi)| {
             search_system(&eval, kind, Objective::Edp, budgets[bi].1, &cfg)
                 .map(|r| 1.0 / r.score)
                 .unwrap_or(f64::NAN)

@@ -4,7 +4,7 @@
 
 use cisa_bench::{Harness, SINGLE_THREAD_POWER_BUDGETS};
 use cisa_explore::multicore::Objective;
-use cisa_explore::{search_system, SystemKind};
+use cisa_explore::{par_map, search_system, SystemKind};
 
 fn main() {
     let h = Harness::load();
@@ -26,7 +26,7 @@ fn main() {
             .iter()
             .flat_map(|&kind| (0..SINGLE_THREAD_POWER_BUDGETS.len()).map(move |bi| (kind, bi)))
             .collect();
-        let cells = h.runner.map(&grid, |&(kind, bi)| {
+        let cells = par_map(&grid, h.runner.threads(), |&(kind, bi)| {
             search_system(
                 &eval,
                 kind,

@@ -2,7 +2,7 @@
 
 use cisa_bench::{Harness, AREA_BUDGETS};
 use cisa_explore::multicore::Objective;
-use cisa_explore::{search_system, SystemKind};
+use cisa_explore::{par_map, search_system, SystemKind};
 
 fn main() {
     let h = Harness::load();
@@ -19,7 +19,7 @@ fn main() {
             .iter()
             .flat_map(|&kind| (0..AREA_BUDGETS.len()).map(move |bi| (kind, bi)))
             .collect();
-        let cells = h.runner.map(&grid, |&(kind, bi)| {
+        let cells = par_map(&grid, h.runner.threads(), |&(kind, bi)| {
             search_system(&eval, kind, objective, AREA_BUDGETS[bi].1, &cfg)
                 .map(|r| format!("{:>10.3}", r.score))
                 .unwrap_or_else(|| format!("{:>10}", "-"))

@@ -4,7 +4,9 @@
 
 use cisa_bench::Harness;
 use cisa_explore::multicore::{search, Budget, Objective};
-use cisa_explore::{candidates, constrained_candidates, sensitivity_constraints, SystemKind};
+use cisa_explore::{
+    candidates, constrained_candidates, par_map, sensitivity_constraints, SystemKind,
+};
 
 fn main() {
     let h = Harness::load();
@@ -16,7 +18,7 @@ fn main() {
         .expect("unconstrained search feasible")
         .score;
     let constraints = sensitivity_constraints();
-    let scores = h.runner.map(&constraints, |(_, constraint)| {
+    let scores = par_map(&constraints, h.runner.threads(), |(_, constraint)| {
         let cands = constrained_candidates(&h.space, constraint);
         search(&eval, &cands, Objective::Throughput, budget, &cfg).map(|r| r.score)
     });

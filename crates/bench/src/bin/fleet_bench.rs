@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use cisa_bench::{results_dir, Harness};
+use cisa_bench::{baseline_number, results_dir, Harness};
 use cisa_fleet::{
     run_policies, AffinityGreedy, FleetConfig, FleetSpec, MigrationAware, MigrationMatrix,
     SchedulerPolicy, StaticRandom,
@@ -155,10 +155,10 @@ fn main() {
     if let Some(path) = baseline {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-        let base_edp = extract_number(&text, "migration_aware_edp_gain")
+        let base_edp = baseline_number(&text, "migration_aware_edp_gain")
             .unwrap_or_else(|| panic!("no migration_aware_edp_gain in {}", path.display()));
         let base_p99 =
-            extract_number(&text, "migration_aware_p99_slowdown_gain").unwrap_or_else(|| {
+            baseline_number(&text, "migration_aware_p99_slowdown_gain").unwrap_or_else(|| {
                 panic!("no migration_aware_p99_slowdown_gain in {}", path.display())
             });
         edp_floor = edp_floor.max(base_edp * GATE_RETENTION);
@@ -183,18 +183,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("gate: ok (floors edp {edp_floor:.3}x, p99 {p99_floor:.3}x)");
-}
-
-/// Pulls the number following `"key":` out of a flat JSON object (the
-/// workspace has no JSON dependency; baselines are machine-written).
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

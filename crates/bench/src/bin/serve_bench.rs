@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cisa_bench::results_dir;
-use cisa_explore::{DesignSpace, PerfTable, ShardedProfileStore};
+use cisa_explore::{DesignSpace, PerfTable, ShardedProfileStore, SweepRunner};
 use cisa_serve::{ServeConfig, Server, ServerState};
 use cisa_workloads::PhaseSpec;
 
@@ -149,7 +149,7 @@ fn main() {
         phases.len(),
         space.len()
     );
-    let table = PerfTable::build_for_phases(&space, &phases);
+    let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
     let state = Arc::new(ServerState::from_table(
         DesignSpace::new(),
         &table,

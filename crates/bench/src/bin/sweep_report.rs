@@ -142,7 +142,7 @@ fn main() {
     let phases = all_phases();
 
     let started = Instant::now();
-    let (table, report) = PerfTable::build_for_phases_reported(&space, &phases, &runner);
+    let (table, report) = PerfTable::build(&space, &phases, &runner);
     if smoke {
         serve_smoke(DesignSpace::new(), &table);
     }

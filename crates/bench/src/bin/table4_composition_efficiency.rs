@@ -3,14 +3,14 @@
 
 use cisa_bench::{Harness, POWER_BUDGETS};
 use cisa_explore::multicore::Objective;
-use cisa_explore::{search_system, SystemKind};
+use cisa_explore::{par_map, search_system, SystemKind};
 
 fn main() {
     let h = Harness::load();
     let eval = h.evaluator();
     let cfg = h.search_config();
     println!("Table IV: composite-ISA compositions (multiprogrammed efficiency objective)");
-    let results = h.runner.map(&POWER_BUDGETS, |&(_, budget)| {
+    let results = par_map(&POWER_BUDGETS, h.runner.threads(), |&(_, budget)| {
         search_system(
             &eval,
             SystemKind::CompositeFull,

@@ -46,7 +46,7 @@ impl Harness {
         let path = results_dir().join("perf_table.bin");
         let started = std::time::Instant::now();
         let existed = path.exists();
-        let (table, report) = PerfTable::load_or_build_reported(&space, &path, &runner);
+        let (table, report) = PerfTable::load_or_build(&space, &path, &runner);
         if !existed {
             let (hits, misses, _) = runner.cache().map_or((0, 0, 0), |c| c.stats());
             eprintln!(
@@ -122,6 +122,14 @@ pub fn row(cells: &[String]) -> String {
     cells.join(" | ")
 }
 
+/// The number under top-level `key` of a committed `BENCH_*.json`
+/// baseline, as the `--check` gates of `bench_probe`, `bench_table`
+/// and `fleet_bench` read it. `None` if the text is not JSON or the
+/// member is absent or not a number.
+pub fn baseline_number(json: &str, key: &str) -> Option<f64> {
+    cisa_serve::json::parse(json).ok()?.get(key)?.as_f64()
+}
+
 /// Formats a ratio as a percentage delta.
 pub fn pct(x: f64) -> String {
     format!("{:+.1}%", (x - 1.0) * 100.0)
@@ -142,6 +150,36 @@ mod tests {
         assert_eq!(POWER_BUDGETS.len(), 4);
         assert_eq!(AREA_BUDGETS.len(), 4);
         assert!(matches!(SINGLE_THREAD_POWER_BUDGETS[0].1, Budget::PeakPower(p) if p == 5.0));
+    }
+
+    /// Every key a `--check` gate reads parses to a finite number in
+    /// its committed baseline.
+    #[test]
+    fn committed_baselines_carry_every_gated_key() {
+        let gated: [(&str, &[&str]); 3] = [
+            ("BENCH_probe.json", &["speedup"]),
+            ("BENCH_table.json", &["speedup"]),
+            (
+                "BENCH_fleet.json",
+                &[
+                    "migration_aware_edp_gain",
+                    "migration_aware_p99_slowdown_gain",
+                ],
+            ),
+        ];
+        let root = results_dir()
+            .parent()
+            .expect("workspace root")
+            .to_path_buf();
+        for (file, keys) in gated {
+            let text = std::fs::read_to_string(root.join(file)).expect(file);
+            for key in keys {
+                let v = baseline_number(&text, key);
+                assert!(v.is_some_and(f64::is_finite), "{file}: {key} = {v:?}");
+            }
+        }
+        assert_eq!(baseline_number("{\"a\": 1}", "b"), None);
+        assert_eq!(baseline_number("not json", "a"), None);
     }
 
     #[test]

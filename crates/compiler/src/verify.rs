@@ -24,7 +24,8 @@
 //! never panics. The driver runs the whole ladder behind a
 //! [`VerifyLevel`] knob: `Full` by default in debug builds and tests,
 //! `Off` in release so the sweep hot path pays nothing. Every rule name
-//! in [`RULES`] has a dedicated firing test in the `cisa-verify` crate.
+//! in [`RULES`] has a dedicated firing test in `cisa-migrate`'s
+//! mutation suite.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -53,7 +54,8 @@ pub enum VerifyPass {
     RegAlloc,
     /// Feature-set legality + encode/decode round-trip of final code.
     Encoding,
-    /// Migration safety (downgrade emulation), checked in `cisa-verify`.
+    /// Migration safety (downgrade emulation), checked in
+    /// `cisa_migrate::verify`.
     Migration,
 }
 
@@ -127,7 +129,7 @@ impl VerifyLevel {
     }
 }
 
-/// Every rule the compiler-side passes can fire. The `cisa-verify`
+/// Every rule the compiler-side passes can fire. The `cisa-migrate`
 /// mutation suite asserts each one fires on a crafted violation.
 pub const RULES: &[&str] = &[
     // verify_ir

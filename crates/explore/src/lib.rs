@@ -46,8 +46,7 @@ pub use cache::{CrashPoint, ProfileCache, RecoveryReport};
 pub use faults::{FaultDomain, FaultPlan, InjectedFault};
 pub use interval::{evaluate, evaluate_block, PhasePerf};
 pub use multicore::{
-    reference_design, search, search_reported, Budget, CoreChoice, Evaluator, Objective,
-    SearchConfig, SearchResult,
+    reference_design, search, Budget, CoreChoice, Evaluator, Objective, SearchConfig, SearchResult,
 };
 pub use profile::{
     codegen_fingerprint, probe, probe_reference, probes_run, PhaseProfile, StoreForwardTable,

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::interval::PhasePerf;
 use crate::profile::reference_ooo;
-use crate::runner::{par_map, par_map_isolated, threads, SweepReport};
+use crate::runner::{par_map, threads};
 use crate::space::{DesignId, DesignSpace};
 use crate::table::PerfTable;
 
@@ -511,27 +511,6 @@ pub fn search(
     search_with_seeds(eval, candidates, objective, budget, config, &[])
 }
 
-/// [`search`] under panic isolation with one retry: a crash inside the
-/// search (a poisoned table cell, an injected fault) degrades to a
-/// recorded [`crate::runner::ItemError`] in the report and a `None`
-/// result, instead of unwinding through the caller's sweep. On the
-/// fault-free path the report is clean and the result is bit-identical
-/// to [`search`].
-pub fn search_reported(
-    eval: &Evaluator<'_>,
-    candidates: &[CoreChoice],
-    objective: Objective,
-    budget: Budget,
-    config: &SearchConfig,
-) -> (Option<SearchResult>, SweepReport) {
-    let items = [()];
-    let (out, report) = par_map_isolated(&items, 1, 2, |_, _, _| {
-        Ok(search(eval, candidates, objective, budget, config))
-    });
-    let result = out.into_iter().flatten().flatten().next();
-    (result, report)
-}
-
 /// [`search`] with additional warm-start chips (used by the
 /// composite-ISA search to start from the best designs of its subset
 /// organizations, guaranteeing it never falls below them).
@@ -854,6 +833,7 @@ pub fn search_with_seeds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::SweepRunner;
     use crate::table::PerfTable;
     use cisa_workloads::all_phases;
     use std::sync::OnceLock;
@@ -864,7 +844,7 @@ mod tests {
         CELL.get_or_init(|| {
             let space = DesignSpace::new();
             let phases: Vec<_> = all_phases().into_iter().filter(|p| p.index == 0).collect();
-            let table = PerfTable::build_for_phases(&space, &phases);
+            let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
             (space, table)
         })
     }
@@ -1062,6 +1042,7 @@ mod tests {
 #[cfg(test)]
 mod debug_tests {
     use super::*;
+    use crate::runner::SweepRunner;
     use crate::table::PerfTable;
     use cisa_workloads::all_phases;
 
@@ -1069,7 +1050,7 @@ mod debug_tests {
     fn debug_search_none() {
         let space = DesignSpace::new();
         let phases: Vec<_> = all_phases().into_iter().filter(|p| p.index == 0).collect();
-        let table = PerfTable::build_for_phases(&space, &phases);
+        let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
         let eval = Evaluator::new(&space, &table, 8);
         let cands: Vec<CoreChoice> = space.ids().map(CoreChoice::Composite).collect();
         let min_power = cands
@@ -1104,6 +1085,7 @@ mod debug_tests {
 #[cfg(test)]
 mod oracle_tests {
     use super::*;
+    use crate::runner::SweepRunner;
     use crate::table::PerfTable;
     use cisa_workloads::all_phases;
 
@@ -1117,7 +1099,7 @@ mod oracle_tests {
             .filter(|p| p.index == 0)
             .take(4)
             .collect();
-        let table = PerfTable::build_for_phases(&space, &phases);
+        let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
         let eval = Evaluator::new(&space, &table, 4);
 
         // A deliberately small, diverse pool: every 400th design point.
@@ -1169,7 +1151,7 @@ mod oracle_tests {
             .filter(|p| p.index == 0)
             .take(2)
             .collect();
-        let table = PerfTable::build_for_phases(&space, &phases);
+        let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
         let eval = Evaluator::new(&space, &table, 2);
         let a = CoreChoice::Vendor(cisa_isa::VendorIsa::Thumb, 0);
         let b = CoreChoice::Vendor(cisa_isa::VendorIsa::X86_64, 0);

@@ -298,9 +298,10 @@ where
 ///
 /// Experiment binaries get one from [`SweepRunner::from_env`] (threads
 /// from `CISA_THREADS`, cache under the given results directory) and
-/// pass it to [`crate::table::PerfTable::load_or_build_with`]; library
-/// code that just needs parallelism can use [`SweepRunner::serial`] or
-/// [`par_map`] directly. Robustness tests attach a
+/// pass it to [`crate::table::PerfTable::load_or_build`]; sweeps of
+/// their own call [`par_map`] (or [`par_map_isolated`]) with
+/// [`SweepRunner::threads`] (and [`SweepRunner::retries`]). Robustness
+/// tests attach a
 /// [`FaultPlan`] with [`SweepRunner::with_faults`]; without one, the
 /// fault-checking paths collapse to the plain ones and results are
 /// bit-identical to an unhardened runner.
@@ -338,11 +339,6 @@ impl SweepRunner {
             dedup: Mutex::new(HashMap::new()),
             dedup_hits: AtomicU64::new(0),
         }
-    }
-
-    /// A single-threaded, uncached runner (the reference behaviour).
-    pub fn serial() -> Self {
-        SweepRunner::new(1)
     }
 
     /// The standard experiment runner: thread count from `CISA_THREADS`
@@ -402,27 +398,6 @@ impl SweepRunner {
     /// The per-item attempt budget of reported sweeps.
     pub fn retries(&self) -> u32 {
         self.max_attempts
-    }
-
-    /// Order-preserving parallel map on this runner's thread budget.
-    pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        par_map(items, self.n_threads, f)
-    }
-
-    /// Panic-isolated, retrying map on this runner's thread budget and
-    /// attempt budget. See [`par_map_isolated`].
-    pub fn map_reported<T, U, F>(&self, items: &[T], f: F) -> (Vec<Option<U>>, SweepReport)
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T, usize, u32) -> Result<U, String> + Sync,
-    {
-        par_map_isolated(items, self.n_threads, self.max_attempts, f)
     }
 
     /// Probes answered from the in-process dedup map instead of a full
@@ -564,7 +539,8 @@ impl SweepRunner {
     /// staged verifier at [`VerifyLevel::Full`] — IR/CFG, predication,
     /// isel, regalloc and encoding checks after each pipeline phase —
     /// before any probe measures anything. (The sixth pass, migration
-    /// safety, lives in `cisa-verify`, downstream of this crate.)
+    /// safety, lives in `cisa_migrate::verify`, downstream of this
+    /// crate.)
     ///
     /// Returns the number of verified compiles, or every violation
     /// found across the grid.
@@ -580,33 +556,32 @@ impl SweepRunner {
         let pairs: Vec<(usize, usize)> = (0..phases.len())
             .flat_map(|p| (0..feature_sets.len()).map(move |f| (p, f)))
             .collect();
-        let violations: Vec<VerifyError> = self
-            .map(&pairs, |&(p, f)| {
-                match compile(&generate(&phases[p]), &feature_sets[f], &options) {
-                    Ok(_) => Vec::new(),
-                    Err(CompileError::Verify(v)) => v,
-                    Err(CompileError::InvalidIr(msg)) => {
-                        // validate() is a subset of verify_ir's
-                        // structural rules, so the precise diagnostics
-                        // are recoverable from the IR itself.
-                        let mut v = cisa_compiler::verify::verify_ir(&generate(&phases[p]));
-                        if v.is_empty() {
-                            v.push(VerifyError {
-                                pass: cisa_compiler::VerifyPass::Ir,
-                                function: phases[p].name(),
-                                block: None,
-                                inst_index: None,
-                                rule: "empty-function",
-                                detail: msg,
-                            });
-                        }
-                        v
+        let violations: Vec<VerifyError> = par_map(&pairs, self.n_threads, |&(p, f)| {
+            match compile(&generate(&phases[p]), &feature_sets[f], &options) {
+                Ok(_) => Vec::new(),
+                Err(CompileError::Verify(v)) => v,
+                Err(CompileError::InvalidIr(msg)) => {
+                    // validate() is a subset of verify_ir's
+                    // structural rules, so the precise diagnostics
+                    // are recoverable from the IR itself.
+                    let mut v = cisa_compiler::verify::verify_ir(&generate(&phases[p]));
+                    if v.is_empty() {
+                        v.push(VerifyError {
+                            pass: cisa_compiler::VerifyPass::Ir,
+                            function: phases[p].name(),
+                            block: None,
+                            inst_index: None,
+                            rule: "empty-function",
+                            detail: msg,
+                        });
                     }
+                    v
                 }
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+            }
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         cisa_obs::counter("preflight/compiles", pairs.len() as u64);
         if violations.is_empty() {
             Ok(pairs.len())
@@ -647,7 +622,9 @@ impl SweepRunner {
         let pairs: Vec<(usize, usize)> = (0..phases.len())
             .flat_map(|p| (0..feature_sets.len()).map(move |f| (p, f)))
             .collect();
-        self.map(&pairs, |&(p, f)| self.probe(&phases[p], feature_sets[f]))
+        par_map(&pairs, self.n_threads, |&(p, f)| {
+            self.probe(&phases[p], feature_sets[f])
+        })
     }
 }
 
@@ -677,8 +654,8 @@ mod tests {
     fn preflighted_grid_still_probes() {
         let phases = cisa_workloads::all_phases();
         let fss = [FeatureSet::x86_64()];
-        let plain = SweepRunner::serial().profile_grid(&phases[..1], &fss);
-        let checked = SweepRunner::serial()
+        let plain = SweepRunner::new(1).profile_grid(&phases[..1], &fss);
+        let checked = SweepRunner::new(1)
             .with_preflight()
             .profile_grid(&phases[..1], &fss);
         assert_eq!(plain.len(), 1);
@@ -720,7 +697,6 @@ mod tests {
     fn runner_threads_are_positive() {
         assert!(SweepRunner::default().threads() >= 1);
         assert_eq!(SweepRunner::new(0).threads(), 1);
-        assert_eq!(SweepRunner::serial().threads(), 1);
         assert!(threads() >= 1);
     }
 
@@ -806,9 +782,9 @@ mod tests {
 
     #[test]
     fn runner_retry_budget_is_configurable() {
-        let r = SweepRunner::serial().with_retries(0);
+        let r = SweepRunner::new(1).with_retries(0);
         assert_eq!(r.retries(), 1, "budget is clamped to at least one try");
-        let r = SweepRunner::serial().with_retries(5);
+        let r = SweepRunner::new(1).with_retries(5);
         assert_eq!(r.retries(), 5);
         assert!(r.faults().is_none());
     }

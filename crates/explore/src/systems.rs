@@ -173,6 +173,7 @@ pub fn sensitivity_constraints() -> Vec<(String, FeatureConstraint)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::SweepRunner;
     use crate::table::PerfTable;
     use cisa_workloads::all_phases;
     use std::sync::OnceLock;
@@ -182,7 +183,7 @@ mod tests {
         CELL.get_or_init(|| {
             let space = DesignSpace::new();
             let phases: Vec<_> = all_phases().into_iter().filter(|p| p.index == 0).collect();
-            let table = PerfTable::build_for_phases(&space, &phases);
+            let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
             (space, table)
         })
     }

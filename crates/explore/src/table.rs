@@ -26,7 +26,7 @@ use cisa_workloads::{all_phases, PhaseSpec};
 
 use crate::interval::{evaluate, evaluate_block, PhasePerf};
 use crate::profile::PhaseProfile;
-use crate::runner::{SweepReport, SweepRunner};
+use crate::runner::{par_map_isolated, SweepReport, SweepRunner};
 use crate::space::{DesignId, DesignSpace};
 
 /// One (phase, feature-set) cell of the fill: 180 composite entries
@@ -109,103 +109,47 @@ pub struct PerfTable {
 }
 
 impl PerfTable {
-    /// Builds the full table (expensive: probes every (phase, feature
-    /// set) pair; cache with [`PerfTable::save`]) on the default
-    /// runner (`CISA_THREADS` workers, no probe cache).
-    pub fn build(space: &DesignSpace) -> Self {
-        Self::build_for_phases(space, &all_phases())
-    }
-
-    /// Builds a table for a subset of phases (tests use this) on the
-    /// default runner.
-    pub fn build_for_phases(space: &DesignSpace, phases: &[PhaseSpec]) -> Self {
-        Self::build_for_phases_with(space, phases, &SweepRunner::default())
-    }
-
-    /// Builds a table for a subset of phases on an explicit
-    /// [`SweepRunner`] (thread budget + optional probe cache).
+    /// Builds the table for `phases` on `runner` (expensive: probes
+    /// every (phase, feature set) pair; cache with [`PerfTable::save`]
+    /// or use [`PerfTable::load_or_build`]), returning the sweep's
+    /// fault report alongside.
     ///
     /// Each (phase, feature set) cell — one probe, 180 interval-model
     /// evaluations, plus any derived vendor-ISA row — is an independent
     /// task; the runner sweeps the grid in parallel and the merged
     /// result is identical at any thread count.
-    pub fn build_for_phases_with(
-        space: &DesignSpace,
-        phases: &[PhaseSpec],
-        runner: &SweepRunner,
-    ) -> Self {
-        Self::build_for_phases_reported(space, phases, runner).0
-    }
-
-    /// [`PerfTable::build_for_phases_with`] plus the sweep's fault
-    /// report.
     ///
-    /// Every (phase, feature set) cell runs panic-isolated with the
-    /// runner's retry budget, so a poisoned cell — an injected fault
-    /// or a genuine crash — degrades to a recorded
-    /// [`crate::runner::ItemError`] instead of killing the build. The
-    /// failed cells' entries stay at [`PhasePerf::default`] (zeros,
-    /// detectable by [`PhasePerf::cycles_per_unit`]` == 0.0`); every
-    /// surviving cell is **bit-identical** to a fault-free build. On
-    /// the fault-free path the report is clean and the table matches
-    /// [`PerfTable::build_for_phases_with`] exactly.
-    pub fn build_for_phases_reported(
+    /// Every cell runs panic-isolated with the runner's retry budget,
+    /// so a poisoned cell — an injected fault or a genuine crash —
+    /// degrades to a recorded [`crate::runner::ItemError`] instead of
+    /// killing the build. The failed cells' entries stay at
+    /// [`PhasePerf::default`] (zeros, detectable by
+    /// [`PhasePerf::cycles_per_unit`]` == 0.0`); every surviving cell is
+    /// **bit-identical** to a fault-free build. On the fault-free path
+    /// the report is clean.
+    pub fn build(
         space: &DesignSpace,
         phases: &[PhaseSpec],
         runner: &SweepRunner,
     ) -> (Self, SweepReport) {
-        let n_ua = space.microarchs.len();
         let n_fs = space.feature_sets.len();
-        let n_phases = phases.len();
-        let bench_names: Vec<&str> = cisa_workloads::all_benchmarks()
-            .iter()
-            .map(|b| b.name)
-            .collect();
-        let phase_benchmarks: Vec<u8> = phases
-            .iter()
-            .map(|p| {
-                bench_names
-                    .iter()
-                    .position(|n| *n == p.benchmark)
-                    .expect("known benchmark") as u8
-            })
-            .collect();
-
         // One task per (phase, feature set) cell, row-major so the
         // merged output lands in table order. Vendor ISAs are derived
         // from their x86-ized probes inside the cell fill.
-        let pairs: Vec<(usize, usize)> = (0..n_phases)
+        let pairs: Vec<(usize, usize)> = (0..phases.len())
             .flat_map(|pi| (0..n_fs).map(move |fi| (pi, fi)))
             .collect();
-        let (cells, report) = runner.map_reported(&pairs, |&(pi, fi), index, attempt| {
-            let spec = &phases[pi];
-            let fs = space.feature_sets[fi];
-            let prof = runner.probe_checked(spec, fs, index, attempt)?;
-            Ok(evaluate_cell(space, fi, &prof))
-        });
-
-        let mut entries = vec![PhasePerf::default(); n_phases * n_fs * n_ua];
-        let mut vendor_entries = vec![PhasePerf::default(); n_phases * 3 * n_ua];
-        for (&(pi, fi), cell) in pairs.iter().zip(&cells) {
-            let Some(cell) = cell else {
-                continue; // failed cell: entries stay at the zero default
-            };
-            entries[(pi * n_fs + fi) * n_ua..(pi * n_fs + fi + 1) * n_ua]
-                .copy_from_slice(&cell.perfs);
-            if let Some((vi, vperfs)) = &cell.vendor {
-                vendor_entries[(pi * 3 + vi) * n_ua..(pi * 3 + vi + 1) * n_ua]
-                    .copy_from_slice(vperfs);
-            }
-        }
-        let table = PerfTable {
-            n_ua,
-            n_fs,
-            n_phases,
-            phase_benchmarks,
-            entries,
-            vendor_entries,
-        };
-        (table, report)
+        let (cells, report) = par_map_isolated(
+            &pairs,
+            runner.threads(),
+            runner.retries(),
+            |&(pi, fi), index, attempt| {
+                let prof =
+                    runner.probe_checked(&phases[pi], space.feature_sets[fi], index, attempt)?;
+                Ok(evaluate_cell(space, fi, &prof))
+            },
+        );
+        (Self::from_cells(space, phases, cells), report)
     }
 
     /// Builds the table from an already-probed profile grid — row-major
@@ -223,7 +167,7 @@ impl PerfTable {
         phases: &[PhaseSpec],
         grid: &[PhaseProfile],
     ) -> Self {
-        Self::from_grid_impl(space, phases, grid, true)
+        Self::from_grid_impl(space, phases, grid, evaluate_cell)
     }
 
     /// Scalar-oracle twin of [`PerfTable::from_profile_grid`]: fills
@@ -239,19 +183,40 @@ impl PerfTable {
         phases: &[PhaseSpec],
         grid: &[PhaseProfile],
     ) -> Self {
-        Self::from_grid_impl(space, phases, grid, false)
+        Self::from_grid_impl(space, phases, grid, evaluate_cell_reference)
     }
 
     fn from_grid_impl(
         space: &DesignSpace,
         phases: &[PhaseSpec],
         grid: &[PhaseProfile],
-        batched: bool,
+        fill: fn(&DesignSpace, usize, &PhaseProfile) -> Cell,
+    ) -> Self {
+        let n_fs = space.feature_sets.len();
+        assert_eq!(
+            grid.len(),
+            phases.len() * n_fs,
+            "profile grid shape mismatch"
+        );
+        let cells = grid
+            .iter()
+            .enumerate()
+            .map(|(i, prof)| Some(fill(space, i % n_fs, prof)));
+        Self::from_cells(space, phases, cells)
+    }
+
+    /// Assembles a table from its row-major `[phase][fs]` cells,
+    /// scattering each into the composite and vendor entry arrays. A
+    /// `None` cell (failed in a reported build) leaves its entries at
+    /// the zero default.
+    fn from_cells(
+        space: &DesignSpace,
+        phases: &[PhaseSpec],
+        cells: impl IntoIterator<Item = Option<Cell>>,
     ) -> Self {
         let n_ua = space.microarchs.len();
         let n_fs = space.feature_sets.len();
         let n_phases = phases.len();
-        assert_eq!(grid.len(), n_phases * n_fs, "profile grid shape mismatch");
         let bench_names: Vec<&str> = cisa_workloads::all_benchmarks()
             .iter()
             .map(|b| b.name)
@@ -267,20 +232,15 @@ impl PerfTable {
             .collect();
         let mut entries = vec![PhasePerf::default(); n_phases * n_fs * n_ua];
         let mut vendor_entries = vec![PhasePerf::default(); n_phases * 3 * n_ua];
-        for pi in 0..n_phases {
-            for fi in 0..n_fs {
-                let prof = &grid[pi * n_fs + fi];
-                let cell = if batched {
-                    evaluate_cell(space, fi, prof)
-                } else {
-                    evaluate_cell_reference(space, fi, prof)
-                };
-                entries[(pi * n_fs + fi) * n_ua..(pi * n_fs + fi + 1) * n_ua]
-                    .copy_from_slice(&cell.perfs);
-                if let Some((vi, vperfs)) = &cell.vendor {
-                    vendor_entries[(pi * 3 + vi) * n_ua..(pi * 3 + vi + 1) * n_ua]
-                        .copy_from_slice(vperfs);
-                }
+        for (i, cell) in cells.into_iter().enumerate() {
+            let Some(cell) = cell else {
+                continue;
+            };
+            let pi = i / n_fs;
+            entries[i * n_ua..(i + 1) * n_ua].copy_from_slice(&cell.perfs);
+            if let Some((vi, vperfs)) = &cell.vendor {
+                vendor_entries[(pi * 3 + vi) * n_ua..(pi * 3 + vi + 1) * n_ua]
+                    .copy_from_slice(vperfs);
             }
         }
         PerfTable {
@@ -382,24 +342,16 @@ impl PerfTable {
         })
     }
 
-    /// Loads from `path` if present and matching; otherwise builds and
-    /// saves (on the default runner).
-    pub fn load_or_build(space: &DesignSpace, path: &Path) -> Self {
-        Self::load_or_build_with(space, path, &SweepRunner::default())
-    }
-
-    /// [`PerfTable::load_or_build`] with an explicit [`SweepRunner`],
-    /// so a cold build probes through the runner's cache and thread
-    /// pool. This is the entry point the experiment harness uses.
-    pub fn load_or_build_with(space: &DesignSpace, path: &Path, runner: &SweepRunner) -> Self {
-        Self::load_or_build_reported(space, path, runner).0
-    }
-
-    /// [`PerfTable::load_or_build_with`] plus the build's fault report:
-    /// `None` when the table came from disk, `Some(report)` when it
-    /// was built. A table with failed cells is **not** persisted — a
-    /// later run rebuilds rather than serving zeros from disk forever.
-    pub fn load_or_build_reported(
+    /// Loads the full all-phase table from `path` if present and
+    /// matching `space`; otherwise builds it on `runner` (probing
+    /// through the runner's cache and thread pool) and saves it. This
+    /// is the entry point the experiment harness uses.
+    ///
+    /// The report is `None` when the table came from disk and
+    /// `Some(report)` when it was built. A table with failed cells is
+    /// **not** persisted — a later run rebuilds rather than serving
+    /// zeros from disk forever.
+    pub fn load_or_build(
         space: &DesignSpace,
         path: &Path,
         runner: &SweepRunner,
@@ -412,7 +364,7 @@ impl PerfTable {
                 return (t, None);
             }
         }
-        let (t, report) = Self::build_for_phases_reported(space, &all_phases(), runner);
+        let (t, report) = Self::build(space, &all_phases(), runner);
         if report.failed.is_empty() {
             if let Some(dir) = path.parent() {
                 let _ = std::fs::create_dir_all(dir);
@@ -500,7 +452,7 @@ mod tests {
             .into_iter()
             .filter(|p| (p.benchmark == "lbm" || p.benchmark == "sjeng") && p.index == 0)
             .collect();
-        let table = PerfTable::build_for_phases(&space, &phases);
+        let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
         (space, table, phases)
     }
 

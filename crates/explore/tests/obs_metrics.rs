@@ -19,7 +19,7 @@ fn snapshot_for_threads(threads: usize) -> cisa_obs::Snapshot {
     let space = DesignSpace::new();
     cisa_obs::reset();
     let runner = SweepRunner::new(threads);
-    let (_, report) = PerfTable::build_for_phases_reported(&space, &phases, &runner);
+    let (_, report) = PerfTable::build(&space, &phases, &runner);
     assert!(report.is_clean(), "{}", report.summary());
     cisa_obs::snapshot()
 }
@@ -83,7 +83,7 @@ fn fault_injection_moves_counters_by_exactly_the_planned_amounts() {
 
     cisa_obs::reset();
     let runner = SweepRunner::new(2).with_faults(plan.with_forced_panics(&panics));
-    let (_, report) = PerfTable::build_for_phases_reported(&space, &phases, &runner);
+    let (_, report) = PerfTable::build(&space, &phases, &runner);
     let snap = cisa_obs::snapshot();
 
     // Stream corruption is persistent (keyed on the item index), so a

@@ -33,7 +33,7 @@ fn parallel_probe_sweep_is_bit_identical_to_serial() {
     let space = DesignSpace::new();
     let fs: Vec<_> = space.feature_sets.iter().copied().take(5).collect();
 
-    let serial = SweepRunner::serial().profile_grid(&phases, &fs);
+    let serial = SweepRunner::new(1).profile_grid(&phases, &fs);
     for t in [2, 4, 7] {
         let parallel = SweepRunner::new(t).profile_grid(&phases, &fs);
         assert_eq!(
@@ -49,8 +49,8 @@ fn parallel_table_build_is_bit_identical_to_serial() {
     let _guard = PROBE_COUNTER.lock().unwrap();
     let phases: Vec<_> = all_phases().into_iter().take(2).collect();
     let space = DesignSpace::new();
-    let serial = PerfTable::build_for_phases_with(&space, &phases, &SweepRunner::serial());
-    let parallel = PerfTable::build_for_phases_with(&space, &phases, &SweepRunner::new(4));
+    let (serial, _) = PerfTable::build(&space, &phases, &SweepRunner::new(1));
+    let (parallel, _) = PerfTable::build(&space, &phases, &SweepRunner::new(4));
     assert_eq!(serial.n_phases, parallel.n_phases);
 
     // Compare through the on-disk format: byte-identical tables.
@@ -140,8 +140,7 @@ fn faulted_table_build_degrades_gracefully_and_reports_exactly() {
     let n_fs = space.feature_sets.len();
     let n_items = phases.len() * n_fs;
 
-    let (base, base_report) =
-        PerfTable::build_for_phases_reported(&space, &phases, &SweepRunner::new(2));
+    let (base, base_report) = PerfTable::build(&space, &phases, &SweepRunner::new(2));
     assert!(base_report.is_clean(), "{}", base_report.summary());
     assert_eq!(base_report.attempted, n_items);
 
@@ -162,7 +161,7 @@ fn faulted_table_build_degrades_gracefully_and_reports_exactly() {
         .take(2)
         .collect();
     let runner = SweepRunner::new(2).with_faults(plan.with_forced_panics(&panics));
-    let (faulted, report) = PerfTable::build_for_phases_reported(&space, &phases, &runner);
+    let (faulted, report) = PerfTable::build(&space, &phases, &runner);
 
     // Exact accounting: corrupted items fail after exhausting retries,
     // panicked items retry once and succeed.
@@ -202,9 +201,9 @@ fn inert_fault_plan_build_is_byte_identical() {
     let _guard = PROBE_COUNTER.lock().unwrap();
     let phases: Vec<_> = all_phases().into_iter().take(1).collect();
     let space = DesignSpace::new();
-    let plain = PerfTable::build_for_phases_with(&space, &phases, &SweepRunner::new(2));
+    let (plain, _) = PerfTable::build(&space, &phases, &SweepRunner::new(2));
     let armed_runner = SweepRunner::new(2).with_faults(FaultPlan::new(7));
-    let (armed, report) = PerfTable::build_for_phases_reported(&space, &phases, &armed_runner);
+    let (armed, report) = PerfTable::build(&space, &phases, &armed_runner);
     assert!(report.is_clean(), "{}", report.summary());
     assert_eq!(report.retried, 0);
 
@@ -215,5 +214,48 @@ fn inert_fault_plan_build_is_byte_identical() {
     let a = std::fs::read(dir.join("plain.bin")).unwrap();
     let b = std::fs::read(dir.join("armed.bin")).unwrap();
     assert_eq!(a, b, "inert fault plan must not perturb table bytes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A table with failed cells is never persisted: `load_or_build` on a
+/// faulted runner reports the failures and leaves `path` absent; a
+/// clean runner then builds and writes the table, and a third call is
+/// served from disk without probing. The space is narrowed to one
+/// feature set so the all-phase build stays cheap.
+#[test]
+fn load_or_build_never_persists_a_faulted_table() {
+    let _guard = PROBE_COUNTER.lock().unwrap();
+    let mut space = DesignSpace::new();
+    let n_ua = space.microarchs.len();
+    space.feature_sets.truncate(1);
+    space.budgets.truncate(n_ua);
+    space.peak_w.truncate(n_ua);
+    let dir = scratch("load-or-build-faults");
+    let path = dir.join("perf_table.bin");
+
+    let plan = FaultPlan::new(0x15A_F422).with_stream_corruption(0.1);
+    let faulted_runner = SweepRunner::new(2).with_faults(plan);
+    let (_, report) = PerfTable::load_or_build(&space, &path, &faulted_runner);
+    let report = report.expect("a cold call builds");
+    assert!(!report.failed.is_empty(), "{}", report.summary());
+    assert!(!path.exists(), "a faulted table must not be written");
+
+    let (built, report) = PerfTable::load_or_build(&space, &path, &SweepRunner::new(2));
+    let report = report.expect("nothing on disk yet, so the call builds");
+    assert!(report.is_clean(), "{}", report.summary());
+    assert!(path.exists(), "a clean table is written");
+
+    let before = probes_run();
+    let (loaded, report) = PerfTable::load_or_build(&space, &path, &SweepRunner::new(2));
+    assert!(report.is_none(), "the third call loads from disk");
+    assert_eq!(probes_run(), before, "loading must not probe");
+    for pi in 0..built.n_phases {
+        for ua in 0..n_ua as u16 {
+            let id = DesignId { fs: 0, ua };
+            let (l, b) = (loaded.get(pi, id), built.get(pi, id));
+            assert_eq!(l.cycles_per_unit.to_bits(), b.cycles_per_unit.to_bits());
+            assert_eq!(l.energy_per_unit.to_bits(), b.energy_per_unit.to_bits());
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -24,7 +24,7 @@
 
 use cisa_analyze::{analyze, lay_out};
 use cisa_compiler::{compile, CompileOptions};
-use cisa_explore::SweepRunner;
+use cisa_explore::{par_map, SweepRunner};
 use cisa_isa::FeatureSet;
 use cisa_migrate::{classify_migration, classify_migration_with, MigrationClass};
 use cisa_workloads::{generate, PhaseSpec};
@@ -114,7 +114,7 @@ impl MigrationMatrix {
             .flat_map(|pi| (0..n_fs).map(move |fi| (pi, fi)))
             .collect();
         // One row of `to`-classes per (phase, from) pair.
-        let rows = runner.map(&pairs, |&(pi, fi)| {
+        let rows = par_map(&pairs, runner.threads(), |&(pi, fi)| {
             let from = feature_sets[fi];
             let map = compile(&generate(&phases[pi]), &from, &CompileOptions::default())
                 .ok()

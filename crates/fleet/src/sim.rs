@@ -35,7 +35,7 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use cisa_explore::SweepRunner;
+use cisa_explore::{par_map, SweepRunner};
 use cisa_power::CLOCK_HZ;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -49,11 +49,6 @@ use crate::workload::{ArrivalParams, ArrivalStream, Workload};
 /// Fraction of peak power an idle core draws (matches the multicore
 /// evaluator's idle charge).
 pub const IDLE_POWER_FRACTION: f64 = 0.3;
-
-/// Headroom slack on the integer-milliwatt cap comparison (none —
-/// integer arithmetic needs no epsilon; kept as a named constant so
-/// the accounting rule is explicit).
-const CAP_SLACK_MW: u64 = 0;
 
 /// Fleet-run configuration (everything except the hardware roster,
 /// which lives in [`FleetSpec`], and the policy).
@@ -401,7 +396,7 @@ impl<'a> Shard<'a> {
         for &core_idx in &self.idle_cores {
             let core = &self.cores[core_idx as usize];
             let chip = &self.chips[core.chip as usize];
-            if chip.active_mw + core.peak_mw > chip.cap_mw + CAP_SLACK_MW {
+            if chip.active_mw + core.peak_mw > chip.cap_mw {
                 self.stats.cap_blocked += 1;
                 continue;
             }
@@ -610,7 +605,7 @@ pub fn simulate_fleet(
 ) -> PolicyReport {
     let n_shards = cfg.effective_shards(spec);
     let shard_ids: Vec<usize> = (0..n_shards).collect();
-    let outs = runner.map(&shard_ids, |&s| {
+    let outs = par_map(&shard_ids, runner.threads(), |&s| {
         let _span = cisa_obs::root_span("fleet/shard");
         simulate_shard(spec, mm, policy, cfg, s, n_shards)
     });

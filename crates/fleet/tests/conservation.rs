@@ -12,7 +12,7 @@
 
 use std::sync::OnceLock;
 
-use cisa_explore::{DesignId, DesignSpace, PerfTable};
+use cisa_explore::{DesignId, DesignSpace, PerfTable, SweepRunner};
 use cisa_fleet::{
     simulate_shard, AffinityGreedy, FleetConfig, FleetSpec, MigrationAware, MigrationMatrix,
     SchedulerPolicy, StaticRandom,
@@ -25,7 +25,7 @@ fn fixtures() -> &'static (FleetSpec, MigrationMatrix) {
     CELL.get_or_init(|| {
         let space = DesignSpace::new();
         let phases: Vec<_> = all_phases().into_iter().filter(|p| p.index == 0).collect();
-        let table = PerfTable::build_for_phases(&space, &phases);
+        let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
         let chip = |ids: [DesignId; 4], label: &str| {
             let sum: f64 = ids.iter().map(|id| space.budget(*id).1).sum();
             (ids, 0.75 * sum, label.to_string())
@@ -153,7 +153,7 @@ fn tighter_caps_mean_more_blocking_not_violations() {
     // respond by blocking placements, never by exceeding the cap.
     let space = DesignSpace::new();
     let phases: Vec<_> = all_phases().into_iter().filter(|p| p.index == 0).collect();
-    let table = PerfTable::build_for_phases(&space, &phases);
+    let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
     let base = &spec.chip_designs[0];
     let ids = [
         spec.core_designs[base.cores[0] as usize].id,

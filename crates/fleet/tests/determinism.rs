@@ -22,7 +22,7 @@ fn fixtures() -> &'static (DesignSpace, PerfTable, FleetSpec, MigrationMatrix) {
     CELL.get_or_init(|| {
         let space = DesignSpace::new();
         let phases: Vec<_> = all_phases().into_iter().filter(|p| p.index == 0).collect();
-        let table = PerfTable::build_for_phases(&space, &phases);
+        let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
         let spec = test_fleet(&space, &table, 32);
         let mm = MigrationMatrix::conservative(table.n_phases, &FeatureSet::all());
         (space, table, spec, mm)

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cisa_isa::FeatureSet;
-use cisa_verify::{verify_phase, VerifyError};
+use cisa_migrate::verify::{verify_phase, VerifyError};
 use cisa_workloads::all_phases;
 
 fn threads() -> usize {

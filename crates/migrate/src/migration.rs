@@ -247,7 +247,7 @@ impl<'a> MigrationSim<'a> {
 mod tests {
     use super::*;
     use cisa_explore::multicore::{search, Budget, Objective, SearchConfig};
-    use cisa_explore::{DesignSpace, PerfTable};
+    use cisa_explore::{DesignSpace, PerfTable, SweepRunner};
     use std::sync::OnceLock;
 
     fn fixtures() -> &'static (DesignSpace, PerfTable) {
@@ -255,7 +255,7 @@ mod tests {
         CELL.get_or_init(|| {
             let space = DesignSpace::new();
             let phases: Vec<_> = all_phases().into_iter().filter(|p| p.index < 2).collect();
-            let table = PerfTable::build_for_phases(&space, &phases);
+            let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
             (space, table)
         })
     }

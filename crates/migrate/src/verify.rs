@@ -1,16 +1,16 @@
-//! # cisa-verify: the full staged verification suite
+//! The full staged verification suite.
 //!
 //! The compiler-side passes (IR/CFG well-formedness, predication
 //! legality, post-isel operand shape, post-regalloc register discipline,
 //! encoding round-trip) live in [`cisa_compiler::verify`] so the driver
-//! can run them after every phase. This crate adds the one pass that
-//! cannot live there without a dependency cycle — **migration safety**
-//! — and composes all six into a workload-suite pre-flight:
+//! can run them after every phase. This module adds the one pass that
+//! needs the downgrade machinery — **migration safety** — and composes
+//! all six into a workload-suite pre-flight:
 //!
 //! - [`verify_migration`] checks that every feature gap
 //!   [`FeatureSet::downgrade_gaps`] claims emulable really is: after
-//!   [`cisa_migrate::emulate`], no instruction still exercises the
-//!   downgraded dimension (rules in [`MIGRATION_RULES`]).
+//!   [`emulate`], no instruction still exercises the downgraded
+//!   dimension (rules in [`MIGRATION_RULES`]).
 //! - [`verify_phase`] compiles one workload phase for one feature set
 //!   with [`VerifyLevel::Full`] and then checks emulation against every
 //!   migration target.
@@ -27,8 +27,9 @@ pub use cisa_compiler::verify::{VerifyError, VerifyLevel, VerifyPass};
 use cisa_compiler::{compile, CompileError, CompileOptions, CompiledCode};
 use cisa_isa::inst::MacroOpcode;
 use cisa_isa::{Complexity, FeatureSet, Predication, RegisterWidth, SimdSupport};
-use cisa_migrate::{emulate, EmulationStats, MigrateError};
 use cisa_workloads::{generate, PhaseSpec};
+
+use crate::{emulate, EmulationStats, MigrateError};
 
 /// Rules of the migration-safety pass. Together with the five
 /// per-dimension survival rules, [`check_emulation`] covers exactly the

@@ -19,8 +19,8 @@ use cisa_compiler::verify::{
 use cisa_compiler::{compile, CompileOptions, CompiledCode};
 use cisa_isa::inst::{MemOperand, MemRole};
 use cisa_isa::{ArchReg, Encoder, FeatureSet, MachineInst, MacroOpcode, MemLocality, Operand};
+use cisa_migrate::verify::{check_emulation, MIGRATION_RULES};
 use cisa_migrate::{EmulationStats, MigrateError};
-use cisa_verify::{check_emulation, MIGRATION_RULES};
 
 fn full() -> FeatureSet {
     FeatureSet::superset()

@@ -88,7 +88,7 @@ fn main() {
     let runner = SweepRunner::from_env(results.join("cache"));
     let started = std::time::Instant::now();
     let (table, report) =
-        PerfTable::load_or_build_reported(&space, &results.join("perf_table.bin"), &runner);
+        PerfTable::load_or_build(&space, &results.join("perf_table.bin"), &runner);
     if let Some(report) = report.filter(|r| !r.is_clean()) {
         eprintln!("serve: table build faults: {}", report.summary());
     }

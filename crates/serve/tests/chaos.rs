@@ -23,7 +23,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cisa_explore::{
-    DesignId, DesignSpace, FaultPlan, PerfTable, ProfileCache, ShardedProfileStore,
+    DesignId, DesignSpace, FaultPlan, PerfTable, ProfileCache, ShardedProfileStore, SweepRunner,
 };
 use cisa_serve::json::{parse, Json};
 use cisa_serve::{ServeConfig, Server, ServerState};
@@ -42,7 +42,7 @@ fn fixture() -> &'static (PerfTable, Vec<PhaseSpec>) {
     FIXTURE.get_or_init(|| {
         let space = DesignSpace::new();
         let phases: Vec<PhaseSpec> = cisa_workloads::all_phases().into_iter().take(2).collect();
-        let table = PerfTable::build_for_phases(&space, &phases);
+        let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
         (table, phases)
     })
 }

@@ -7,7 +7,9 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 
-use cisa_explore::{probes_run, DesignId, DesignSpace, PerfTable, ShardedProfileStore};
+use cisa_explore::{
+    probes_run, DesignId, DesignSpace, PerfTable, ShardedProfileStore, SweepRunner,
+};
 use cisa_serve::json::{parse, Json};
 use cisa_serve::{ServeConfig, Server, ServerState};
 use cisa_workloads::PhaseSpec;
@@ -30,7 +32,7 @@ fn fixture() -> &'static Fixture {
             .into_iter()
             .take(N_PHASES)
             .collect();
-        let table = PerfTable::build_for_phases(&space, &phases);
+        let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
         Fixture {
             space,
             table,

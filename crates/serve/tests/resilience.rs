@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use cisa_explore::{DesignSpace, PerfTable, ShardedProfileStore};
+use cisa_explore::{DesignSpace, PerfTable, ShardedProfileStore, SweepRunner};
 use cisa_serve::json::{parse, Json};
 use cisa_serve::{ServeConfig, Server, ServerState};
 use cisa_workloads::PhaseSpec;
@@ -19,7 +19,7 @@ fn fixture() -> &'static (PerfTable, Vec<PhaseSpec>) {
     FIXTURE.get_or_init(|| {
         let space = DesignSpace::new();
         let phases: Vec<PhaseSpec> = cisa_workloads::all_phases().into_iter().take(1).collect();
-        let table = PerfTable::build_for_phases(&space, &phases);
+        let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
         (table, phases)
     })
 }

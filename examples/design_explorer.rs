@@ -7,7 +7,7 @@
 //! ```
 
 use composite_isa::explore::multicore::{Budget, Evaluator, Objective, SearchConfig};
-use composite_isa::explore::{search_system, DesignSpace, PerfTable, SystemKind};
+use composite_isa::explore::{search_system, DesignSpace, PerfTable, SweepRunner, SystemKind};
 use composite_isa::workloads::all_phases;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     // One phase per benchmark keeps this example under a minute.
     let phases: Vec<_> = all_phases().into_iter().filter(|p| p.index == 0).collect();
     println!("probing {} phases...", phases.len());
-    let table = PerfTable::build_for_phases(&space, &phases);
+    let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
     let eval = Evaluator::new(&space, &table, 12);
     let cfg = SearchConfig::default();
 

@@ -8,7 +8,7 @@
 //! negligible because feature sets overlap.
 
 use composite_isa::explore::multicore::{Budget, Evaluator, Objective};
-use composite_isa::explore::{search_system, DesignSpace, PerfTable, SystemKind};
+use composite_isa::explore::{search_system, DesignSpace, PerfTable, SweepRunner, SystemKind};
 use composite_isa::workloads::all_phases;
 use std::sync::OnceLock;
 
@@ -17,7 +17,7 @@ fn fixtures() -> &'static (DesignSpace, PerfTable) {
     CELL.get_or_init(|| {
         let space = DesignSpace::new();
         let phases: Vec<_> = all_phases().into_iter().filter(|p| p.index == 0).collect();
-        let table = PerfTable::build_for_phases(&space, &phases);
+        let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
         (space, table)
     })
 }
