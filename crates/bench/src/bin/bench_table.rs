@@ -10,47 +10,26 @@
 //! never come from computing something different.
 //!
 //! Emits `BENCH_table.json` with the cold sweep time, both warm fill
-//! times, and the speedup. With `--check <baseline.json>` it also
-//! gates: the run fails (exit 1) if the measured speedup falls below
-//! the hard 2x floor from the ISSUE acceptance criteria, or regresses
-//! more than 50% below the committed baseline's speedup (the
-//! BENCH_probe retention pattern). Ratio gates hold on runners of any
-//! speed.
+//! times, and the speedup. It gates ([`cisa_bench::ledger::TABLE`]):
+//! the run fails (exit 1) if the measured speedup falls below the hard
+//! 2x floor, or, with `--check <baseline.json>`, regresses more than
+//! 50% below the committed baseline's speedup. Ratio gates hold on
+//! runners of any speed.
 //!
 //! Usage: `bench_table [--out <path>] [--check <baseline.json>]`
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
-use cisa_bench::{baseline_number, results_dir};
+use cisa_bench::ledger::{Record, TABLE};
 use cisa_explore::{threads, DesignSpace, PerfTable, SweepRunner};
 use cisa_isa::VendorIsa;
 use cisa_workloads::all_phases;
 
-/// Fraction of the baseline speedup the measured speedup must retain.
-const GATE_RETENTION: f64 = 0.5;
-/// Absolute floor from the acceptance criteria: the batched fill must
-/// stay at least this much faster than the scalar reference.
-const SPEEDUP_FLOOR: f64 = 2.0;
 /// Timed repetitions per implementation (minimum is reported).
 const ITERS: usize = 3;
 
 fn main() {
-    let mut out_path = results_dir().join("BENCH_table.json");
-    let mut baseline: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_path = PathBuf::from(args.next().expect("--out needs a path")),
-            "--check" => baseline = Some(PathBuf::from(args.next().expect("--check needs a path"))),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let args = TABLE.args(&[]);
     let phases = all_phases();
     let space = DesignSpace::new();
     let n_fs = space.feature_sets.len();
@@ -123,46 +102,16 @@ fn main() {
     let end_to_end_s = cold_sweep_s + block_fill_s;
     println!("speedup: {speedup:.2}x (cold sweep + block fill: {end_to_end_s:.2}s)");
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": 1,");
-    let _ = writeln!(json, "  \"threads\": {n_threads},");
-    let _ = writeln!(json, "  \"phases\": {},", phases.len());
-    let _ = writeln!(json, "  \"feature_sets\": {n_fs},");
-    let _ = writeln!(json, "  \"designs\": {},", n_fs * n_ua);
-    let _ = writeln!(json, "  \"entries_checked\": {checked},");
-    let _ = writeln!(json, "  \"cold_sweep_s\": {cold_sweep_s:.4},");
-    let _ = writeln!(json, "  \"scalar_fill_s\": {scalar_fill_s:.4},");
-    let _ = writeln!(json, "  \"block_fill_s\": {block_fill_s:.4},");
-    let _ = writeln!(json, "  \"speedup\": {speedup:.4},");
-    let _ = writeln!(json, "  \"end_to_end_s\": {end_to_end_s:.4}");
-    let _ = writeln!(json, "}}");
-
-    if let Some(dir) = out_path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_table.json");
-    println!("wrote {}", out_path.display());
-
-    let mut floor = SPEEDUP_FLOOR;
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-        let base_speedup = baseline_number(&text, "speedup")
-            .unwrap_or_else(|| panic!("no \"speedup\" field in {}", path.display()));
-        floor = floor.max(base_speedup * GATE_RETENTION);
-        println!("gate: measured {speedup:.2}x vs baseline {base_speedup:.2}x (floor {floor:.2}x)");
-    } else {
-        println!("gate: measured {speedup:.2}x (floor {floor:.2}x)");
-    }
-    if speedup < floor {
-        eprintln!(
-            "FAIL: warm table-fill speedup below the gate \
-             ({speedup:.2}x < {floor:.2}x)"
-        );
-        std::process::exit(1);
-    }
-    println!("gate: ok");
+    let mut record = Record::new();
+    record
+        .int("phases", phases.len() as u64)
+        .int("feature_sets", n_fs as u64)
+        .int("designs", (n_fs * n_ua) as u64)
+        .int("entries_checked", checked)
+        .num("cold_sweep_s", cold_sweep_s)
+        .num("scalar_fill_s", scalar_fill_s)
+        .num("block_fill_s", block_fill_s)
+        .num("speedup", speedup)
+        .num("end_to_end_s", end_to_end_s);
+    TABLE.finish(&args, &record);
 }

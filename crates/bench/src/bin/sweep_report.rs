@@ -26,11 +26,10 @@
 //! histogram and the `serve/*` counters next to the sweep's own
 //! metrics.
 
-use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
-use cisa_bench::{obs_report, results_dir};
+use cisa_bench::{obs_report, request, results_dir};
 use cisa_explore::{DesignSpace, PerfTable, ShardedProfileStore, SweepRunner};
 use cisa_workloads::all_phases;
 
@@ -49,62 +48,15 @@ fn serve_smoke(space: DesignSpace, table: &PerfTable) {
         cisa_serve::ServeConfig::default(),
     ));
     let server = cisa_serve::Server::start("127.0.0.1:0", state).expect("bind loopback");
+    // Closed loop on one keep-alive connection; the connection closes
+    // before the server drains, so every request is in the snapshot.
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
-    let mut buf = Vec::new();
     for i in 0..SMOKE_REQUESTS {
         let body = format!(
             r#"{{"phase":"{}","top":3}}"#,
             phases[i % phases.len()].name()
         );
-        let head = format!(
-            "POST /v1/affinity HTTP/1.1\r\nHost: smoke\r\nContent-Length: {}\r\n{}\r\n",
-            body.len(),
-            if i + 1 == SMOKE_REQUESTS {
-                "Connection: close\r\n"
-            } else {
-                ""
-            },
-        );
-        stream.write_all(head.as_bytes()).expect("write");
-        stream.write_all(body.as_bytes()).expect("write");
-        if i + 1 == SMOKE_REQUESTS {
-            buf.clear();
-            stream.read_to_end(&mut buf).expect("drain");
-        } else {
-            // Keep-alive: read this response's framed body before the
-            // next request (closed loop, one request in flight).
-            read_one_response(&mut stream);
-        }
-    }
-}
-
-/// Reads one `Content-Length`-framed response off a keep-alive stream.
-fn read_one_response(stream: &mut std::net::TcpStream) {
-    let mut data = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 8192];
-    let (head_end, content_length) = loop {
-        let n = stream.read(&mut chunk).expect("read");
-        assert!(n > 0, "server closed early");
-        data.extend_from_slice(&chunk[..n]);
-        if let Some(pos) = data.windows(4).position(|w| w == b"\r\n\r\n") {
-            let cl = std::str::from_utf8(&data[..pos])
-                .ok()
-                .and_then(|h| {
-                    h.lines().find_map(|l| {
-                        l.to_ascii_lowercase()
-                            .strip_prefix("content-length:")
-                            .map(|v| v.trim().to_string())
-                    })
-                })
-                .and_then(|v| v.parse::<usize>().ok())
-                .expect("content-length");
-            break (pos + 4, cl);
-        }
-    };
-    while data.len() < head_end + content_length {
-        let n = stream.read(&mut chunk).expect("read body");
-        assert!(n > 0, "server closed mid-body");
-        data.extend_from_slice(&chunk[..n]);
+        request(&mut stream, "POST", "/v1/affinity", &body);
     }
 }
 

@@ -8,6 +8,7 @@
 //! Run any experiment with `cargo run --release -p cisa-bench --bin
 //! <experiment>`; the first run builds `results/perf_table.bin`.
 
+use std::io::{Read, Write};
 use std::path::PathBuf;
 
 use cisa_explore::multicore::{Budget, Evaluator, SearchConfig};
@@ -114,20 +115,45 @@ pub const SINGLE_THREAD_POWER_BUDGETS: [(&str, Budget); 4] = [
     ("Unlimited", Budget::Unlimited),
 ];
 
+pub mod ledger;
 pub mod obs_report;
 pub mod timing;
 
-/// Prints a markdown-ish table row.
-pub fn row(cells: &[String]) -> String {
-    cells.join(" | ")
-}
-
-/// The number under top-level `key` of a committed `BENCH_*.json`
-/// baseline, as the `--check` gates of `bench_probe`, `bench_table`
-/// and `fleet_bench` read it. `None` if the text is not JSON or the
-/// member is absent or not a number.
-pub fn baseline_number(json: &str, key: &str) -> Option<f64> {
-    cisa_serve::json::parse(json).ok()?.get(key)?.as_f64()
+/// Sends one HTTP/1.1 request over a keep-alive `stream` and reads
+/// its `Content-Length`-framed response (one request in flight);
+/// returns the status code. Panics if the peer closes mid-response or
+/// the head is malformed: the bench clients talk only to an in-process
+/// server.
+pub fn request(stream: &mut (impl Read + Write), method: &str, target: &str, body: &str) -> u16 {
+    let head = format!(
+        "{method} {target} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).expect("write head");
+    stream.write_all(body.as_bytes()).expect("write body");
+    let mut data = Vec::with_capacity(4096);
+    let mut chunk = [0u8; 8192];
+    let mut fill = |data: &mut Vec<u8>| {
+        let n = stream.read(&mut chunk).expect("read response");
+        assert!(n > 0, "server closed mid-response");
+        data.extend_from_slice(&chunk[..n]);
+    };
+    let head_end = loop {
+        fill(&mut data);
+        if let Some(pos) = data.windows(4).position(|w| w == b"\r\n\r\n") {
+            break pos + 4;
+        }
+    };
+    let head = std::str::from_utf8(&data[..head_end]).expect("UTF-8 head");
+    let status = head.split(' ').nth(1).and_then(|s| s.parse().ok());
+    let content_length: Option<usize> = head.lines().find_map(|l| {
+        let l = l.to_ascii_lowercase();
+        l.strip_prefix("content-length:")?.trim().parse().ok()
+    });
+    while data.len() < head_end + content_length.expect("content-length") {
+        fill(&mut data);
+    }
+    status.expect("status line")
 }
 
 /// Formats a ratio as a percentage delta.
@@ -150,36 +176,6 @@ mod tests {
         assert_eq!(POWER_BUDGETS.len(), 4);
         assert_eq!(AREA_BUDGETS.len(), 4);
         assert!(matches!(SINGLE_THREAD_POWER_BUDGETS[0].1, Budget::PeakPower(p) if p == 5.0));
-    }
-
-    /// Every key a `--check` gate reads parses to a finite number in
-    /// its committed baseline.
-    #[test]
-    fn committed_baselines_carry_every_gated_key() {
-        let gated: [(&str, &[&str]); 3] = [
-            ("BENCH_probe.json", &["speedup"]),
-            ("BENCH_table.json", &["speedup"]),
-            (
-                "BENCH_fleet.json",
-                &[
-                    "migration_aware_edp_gain",
-                    "migration_aware_p99_slowdown_gain",
-                ],
-            ),
-        ];
-        let root = results_dir()
-            .parent()
-            .expect("workspace root")
-            .to_path_buf();
-        for (file, keys) in gated {
-            let text = std::fs::read_to_string(root.join(file)).expect(file);
-            for key in keys {
-                let v = baseline_number(&text, key);
-                assert!(v.is_some_and(f64::is_finite), "{file}: {key} = {v:?}");
-            }
-        }
-        assert_eq!(baseline_number("{\"a\": 1}", "b"), None);
-        assert_eq!(baseline_number("not json", "a"), None);
     }
 
     #[test]

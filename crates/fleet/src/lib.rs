@@ -35,7 +35,7 @@
 //!   a [`cisa_explore::SweepRunner`], so a full fleet run is
 //!   **bit-identical at any `CISA_THREADS`**.
 //! - [`report`] — per-policy throughput / EDP / tail-slowdown metrics
-//!   and the deterministic JSON report `fleet_bench` writes to
+//!   and the fixed-order report fields `fleet_bench` writes to
 //!   `BENCH_fleet.json`.
 //!
 //! The full subsystem reference — event model, arrival process,

@@ -2,13 +2,9 @@
 //!
 //! One [`PolicyReport`] summarizes one full fleet run under one
 //! policy; a [`FleetReport`] bundles the per-policy reports with the
-//! run configuration and the headline policy-vs-baseline gains.
-//! `FleetReport::to_json` renders flat JSON with a fixed field order
-//! and fixed float formatting, so a committed `BENCH_fleet.json` is
-//! reproducible byte-for-byte and `fleet_bench --check` can gate on
-//! its fields.
-
-use std::fmt::Write as _;
+//! run configuration. `FleetReport::fields` flattens it, with the
+//! headline policy-vs-baseline gains, into the fixed-order entries
+//! `fleet_bench` writes to `BENCH_fleet.json` and gates on.
 
 /// Metrics of one full fleet run under one policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,88 +76,83 @@ impl FleetReport {
         self.policies.iter().find(|p| p.policy == name)
     }
 
-    /// Renders the report as flat JSON with stable field order and
-    /// formatting. Per-policy fields are prefixed with the policy name
+    /// The report as flat `(key, value)` entries in a fixed order.
+    /// Per-policy keys are prefixed with the policy name
     /// (`static_random_edp`), and the headline gains of every policy
-    /// over the first (baseline) policy are included
+    /// over the first (baseline) policy follow
     /// (`migration_aware_edp_gain`).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let num = |s: &mut String, k: &str, v: f64| {
-            let _ = writeln!(s, "  \"{k}\": {v:.6e},");
-        };
-        let int = |s: &mut String, k: &str, v: u64| {
-            let _ = writeln!(s, "  \"{k}\": {v},");
-        };
-        int(&mut s, "n_chips", self.n_chips);
-        int(&mut s, "n_threads", self.n_threads);
-        int(&mut s, "n_shards", self.n_shards);
-        int(&mut s, "seed", self.seed);
-        int(&mut s, "matrix_native", self.matrix_classes[0]);
-        int(&mut s, "matrix_transforming", self.matrix_classes[1]);
-        int(&mut s, "matrix_state_transforming", self.matrix_classes[2]);
+    pub fn fields(&self) -> Vec<(String, Field)> {
+        use Field::{Count, Real};
+        let mut out: Vec<(String, Field)> = [
+            ("n_chips", self.n_chips),
+            ("n_threads", self.n_threads),
+            ("n_shards", self.n_shards),
+            ("seed", self.seed),
+            ("matrix_native", self.matrix_classes[0]),
+            ("matrix_transforming", self.matrix_classes[1]),
+            ("matrix_state_transforming", self.matrix_classes[2]),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), Count(v)))
+        .collect();
         for p in &self.policies {
             let k = p.policy.replace('-', "_");
-            int(&mut s, &format!("{k}_completed"), p.completed);
-            num(
-                &mut s,
-                &format!("{k}_throughput_units_per_s"),
-                p.throughput_units_per_s,
-            );
-            num(
-                &mut s,
-                &format!("{k}_energy_per_unit_j"),
-                p.energy_per_unit_j,
-            );
-            num(&mut s, &format!("{k}_mean_response_s"), p.mean_response_s);
-            num(&mut s, &format!("{k}_edp"), p.edp);
-            num(&mut s, &format!("{k}_p50_slowdown"), p.p50_slowdown);
-            num(&mut s, &format!("{k}_p99_slowdown"), p.p99_slowdown);
-            num(&mut s, &format!("{k}_max_slowdown"), p.max_slowdown);
-            int(&mut s, &format!("{k}_migrations"), p.migrations_total);
-            int(&mut s, &format!("{k}_migrations_native"), p.migrations[0]);
-            int(
-                &mut s,
-                &format!("{k}_migrations_transforming"),
-                p.migrations[1],
-            );
-            int(
-                &mut s,
-                &format!("{k}_migrations_state_transforming"),
-                p.migrations[2],
-            );
-            int(&mut s, &format!("{k}_cap_blocked"), p.cap_blocked);
-            num(
-                &mut s,
-                &format!("{k}_max_cap_utilization"),
-                p.max_cap_utilization,
-            );
+            out.extend([
+                (format!("{k}_completed"), Count(p.completed)),
+                (
+                    format!("{k}_throughput_units_per_s"),
+                    Real(p.throughput_units_per_s),
+                ),
+                (format!("{k}_energy_per_unit_j"), Real(p.energy_per_unit_j)),
+                (format!("{k}_mean_response_s"), Real(p.mean_response_s)),
+                (format!("{k}_edp"), Real(p.edp)),
+                (format!("{k}_p50_slowdown"), Real(p.p50_slowdown)),
+                (format!("{k}_p99_slowdown"), Real(p.p99_slowdown)),
+                (format!("{k}_max_slowdown"), Real(p.max_slowdown)),
+                (format!("{k}_migrations"), Count(p.migrations_total)),
+                (format!("{k}_migrations_native"), Count(p.migrations[0])),
+                (
+                    format!("{k}_migrations_transforming"),
+                    Count(p.migrations[1]),
+                ),
+                (
+                    format!("{k}_migrations_state_transforming"),
+                    Count(p.migrations[2]),
+                ),
+                (format!("{k}_cap_blocked"), Count(p.cap_blocked)),
+                (
+                    format!("{k}_max_cap_utilization"),
+                    Real(p.max_cap_utilization),
+                ),
+            ]);
         }
         if let Some(base) = self.policies.first() {
             for p in self.policies.iter().skip(1) {
                 let k = p.policy.replace('-', "_");
-                num(&mut s, &format!("{k}_edp_gain"), base.edp / p.edp);
-                num(
-                    &mut s,
-                    &format!("{k}_p99_slowdown_gain"),
-                    base.p99_slowdown / p.p99_slowdown,
-                );
-                num(
-                    &mut s,
-                    &format!("{k}_throughput_gain"),
-                    p.throughput_units_per_s / base.throughput_units_per_s,
-                );
+                out.extend([
+                    (format!("{k}_edp_gain"), Real(base.edp / p.edp)),
+                    (
+                        format!("{k}_p99_slowdown_gain"),
+                        Real(base.p99_slowdown / p.p99_slowdown),
+                    ),
+                    (
+                        format!("{k}_throughput_gain"),
+                        Real(p.throughput_units_per_s / base.throughput_units_per_s),
+                    ),
+                ]);
             }
         }
-        // Trailing-comma cleanup: replace the final ",\n" with "\n".
-        if s.ends_with(",\n") {
-            s.truncate(s.len() - 2);
-            s.push('\n');
-        }
-        s.push('}');
-        s.push('\n');
-        s
+        out
     }
+}
+
+/// The value of one [`FleetReport::fields`] entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Field {
+    /// An exact count.
+    Count(u64),
+    /// A measured or derived real.
+    Real(f64),
 }
 
 /// Exact percentile of a **sorted** slowdown slice (nearest-rank).
@@ -188,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn json_is_flat_and_balanced() {
+    fn fields_are_flat_unique_and_carry_gains() {
         let p = PolicyReport {
             policy: "static-random".into(),
             arrivals: 10,
@@ -219,11 +210,17 @@ mod tests {
             matrix_classes: [10, 5, 2],
             policies: vec![p, ma],
         };
-        let json = r.to_json();
-        assert!(json.starts_with("{\n") && json.ends_with("}\n"));
-        assert!(!json.contains(",\n}"), "no trailing comma");
-        assert!(json.contains("\"migration_aware_edp_gain\": 2.0"));
-        assert!(json.contains("\"static_random_edp\""));
+        let fields = r.fields();
+        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
+        assert_eq!(get("migration_aware_edp_gain"), Some(Field::Real(2.0)));
+        assert_eq!(get("static_random_edp"), Some(Field::Real(0.01)));
+        assert_eq!(get("matrix_state_transforming"), Some(Field::Count(2)));
+        assert_eq!(get("static_random_edp_gain"), None, "no gain over itself");
+        let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(&keys[..2], ["n_chips", "n_threads"], "fixed order");
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), fields.len(), "keys are unique");
         assert_eq!(r.policy("migration-aware").map(|p| p.edp), Some(0.005));
     }
 }

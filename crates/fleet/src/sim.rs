@@ -8,8 +8,8 @@
 //! `t % n_shards`. Each shard is a self-contained open queueing
 //! system simulated *serially*: a binary heap of segment-completion
 //! events merged against the shard's lazy arrival stream, with ties
-//! broken by insertion sequence. Shards fan out over
-//! [`SweepRunner::map`] (order-preserving) and merge in shard order,
+//! broken by insertion sequence. Shards fan out over [`par_map`] on
+//! the runner's threads (order-preserving) and merge in shard order,
 //! so a full fleet run is **bit-identical at any `CISA_THREADS`** —
 //! the same guarantee every other subsystem in this repository makes.
 //!
