@@ -269,19 +269,6 @@ impl InstFacts {
             hi,
         }
     }
-
-    /// Branch/jump target as an absolute stream offset (relative
-    /// displacements are anchored at the end of the instruction).
-    /// `None` for non-control instructions; calls are excluded because
-    /// their targets are external to the analyzed image.
-    pub fn control_target(&self, imm: i32) -> Option<i64> {
-        match self.opcode {
-            MacroOpcode::Branch | MacroOpcode::Jump => {
-                Some(self.offset as i64 + self.len as i64 + imm as i64)
-            }
-            _ => None,
-        }
-    }
 }
 
 fn feature_needs(d: &Disassembled, uses: RegSet, def: Option<u8>) -> (FeatureNeeds, FeatureNeeds) {

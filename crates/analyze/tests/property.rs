@@ -7,9 +7,10 @@
 //!    minimal feature set is covered by the set the compiler selected —
 //!    the analyzer never claims the code needs something the encoder
 //!    did not legally emit.
-//! 2. **Totality**: `analyze` never panics, on byte soup or on real
-//!    images corrupted by flips, truncations, and splices; malformed
-//!    input degrades to findings plus conservative facts.
+//! 2. **Totality**: `analyze` never panics and always terminates, on
+//!    byte soup, on long legacy-prefix runs, or on real images corrupted
+//!    by flips, truncations, and splices; malformed input degrades to
+//!    findings plus conservative facts.
 
 use cisa_analyze::{analyze, check_against_compile, lay_out};
 use cisa_compiler::{compile, CompileOptions};
@@ -113,5 +114,38 @@ fn analyze_is_total_on_corrupted_streams() {
         let len = rng.gen_range(0..48usize);
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
         check_coherent(&bytes);
+    }
+
+    // Hostile prefix runs: up to 300 legacy prefixes before a nop, alone
+    // and spliced into real images, plus byte soup longer than any
+    // instruction. `analyze` must terminate on each.
+    const LEGACY_PREFIXES: [u8; 6] = [0x66, 0x67, 0xF2, 0xF3, 0x2E, 0x3E];
+    let images: Vec<Vec<u8>> = (0..4)
+        .map(|_| {
+            let spec = &phases[rng.gen_range(0..phases.len())];
+            let fs = feature_sets[rng.gen_range(0..feature_sets.len())];
+            let code = compile(&generate(spec), &fs, &options).expect("phase compiles");
+            lay_out(&code).expect("layout").bytes
+        })
+        .collect();
+    let fixed_runs = [16usize, 17, 255, 256, 300];
+    for case in 0..48 {
+        let run_len = fixed_runs
+            .get(case)
+            .copied()
+            .unwrap_or_else(|| rng.gen_range(0..=300));
+        let mut run: Vec<u8> = (0..run_len)
+            .map(|_| LEGACY_PREFIXES[rng.gen_range(0..LEGACY_PREFIXES.len())])
+            .collect();
+        run.push(0x90);
+        check_coherent(&run);
+        let mut spliced = images[case % images.len()].clone();
+        let at = rng.gen_range(0..=spliced.len());
+        spliced.splice(at..at, run);
+        check_coherent(&spliced);
+        let soup: Vec<u8> = (0..rng.gen_range(48..512usize))
+            .map(|_| rng.gen())
+            .collect();
+        check_coherent(&soup);
     }
 }

@@ -110,14 +110,6 @@ pub struct CompiledCode {
     pub stats: CodeStats,
 }
 
-impl CompiledCode {
-    /// Dynamic instructions per block-weight unit; convenience for
-    /// normalization.
-    pub fn dynamic_uops(&self) -> f64 {
-        self.stats.total_uops()
-    }
-}
-
 /// The machine instruction a terminator encodes as.
 pub fn terminator_inst(term: &Terminator) -> Option<MachineInst> {
     match term {

@@ -1,15 +1,20 @@
-//! Disassembler for superset-ISA machine code.
+//! Disassembler for superset-ISA machine code, and the one byte walk of
+//! the instruction format.
 //!
-//! Where [`encoding::InstLengthDecoder`](crate::encoding::InstLengthDecoder)
-//! only computes lengths (the hardware ILD's job), the disassembler
-//! recovers the full structural form: opcode group, prefixes (REX,
-//! REXBC, predicate), ModRM register fields, addressing mode,
-//! displacement and immediate widths. Useful for debugging compiled
-//! code and property-tested to invert the encoder.
+//! [`disassemble`] is the only code that reads instruction bytes. It
+//! recovers the full structural form: opcode group, prefixes (legacy,
+//! REX, REXBC, predicate), ModRM register fields, addressing mode,
+//! displacement and immediate widths. The hardware ILD's job, lengths
+//! and prefix flags only, is a projection of that walk
+//! ([`InstLengthDecoder`](crate::encoding::InstLengthDecoder)), and the
+//! stream decoders of both share one stream loop, so the two cannot
+//! disagree on any input. The walk is bounded by [`MAX_INST_LEN`], which
+//! keeps it total on hostile bytes such as long prefix runs. It is
+//! property-tested to invert the encoder.
 
 use std::fmt;
 
-use crate::encoding::{DecodeError, PREDICATE_MARKER, REXBC_MARKER};
+use crate::encoding::{DecodeError, OpcodeRow, MAX_INST_LEN, PREDICATE_MARKER, REXBC_MARKER};
 use crate::error::StreamError;
 use crate::inst::{AddressingMode, MacroOpcode};
 
@@ -18,8 +23,10 @@ use crate::inst::{AddressingMode, MacroOpcode};
 pub struct Disassembled {
     /// Opcode group.
     pub opcode: MacroOpcode,
-    /// Total length in bytes.
+    /// Total length in bytes, in `1..=MAX_INST_LEN`.
     pub len: u8,
+    /// Legacy prefix count.
+    pub legacy_prefixes: u8,
     /// REX prefix present.
     pub has_rex: bool,
     /// REX.W (64-bit operand) set.
@@ -68,46 +75,31 @@ impl fmt::Display for Disassembled {
     }
 }
 
-/// Maps opcode bytes back to their [`MacroOpcode`] group and whether a
-/// ModRM byte follows / an immediate of which width.
-fn opcode_of(first: u8, second: Option<u8>) -> Option<(MacroOpcode, bool, u8)> {
-    Some(match (first, second) {
-        (0x89, _) => (MacroOpcode::Mov, true, 0),
-        // B0+rb / B8+rd: the mov-immediate destination register's low 3
-        // bits live in the opcode byte, like real x86.
-        (0xB0..=0xB7, _) => (MacroOpcode::Mov, false, 1),
-        (0xB8..=0xBF, _) => (MacroOpcode::Mov, false, 4),
-        (0xC6, _) => (MacroOpcode::Mov, true, 1),
-        (0xC7, _) => (MacroOpcode::Mov, true, 4),
-        (0x01, _) => (MacroOpcode::IntAlu, true, 0),
-        (0x83, _) => (MacroOpcode::IntAlu, true, 1),
-        (0x81, _) => (MacroOpcode::IntAlu, true, 4),
-        (0x0F, Some(0xAF)) => (MacroOpcode::IntMul, true, 0),
-        (0x8D, _) => (MacroOpcode::Lea, true, 0),
-        (0x8B, _) => (MacroOpcode::Load, true, 0),
-        (0x88, _) => (MacroOpcode::Store, true, 0),
-        (0x0F, Some(0x58)) => (MacroOpcode::FpAlu, true, 0),
-        (0x0F, Some(0x59)) => (MacroOpcode::FpMul, true, 0),
-        (0x0F, Some(0xFE)) => (MacroOpcode::VecAlu, true, 0),
-        (0x0F, Some(0x84)) => (MacroOpcode::Branch, false, 4),
-        (0x0F, Some(0x44)) => (MacroOpcode::Cmov, true, 0),
-        (0xE9, _) => (MacroOpcode::Jump, false, 4),
-        (0xE8, _) => (MacroOpcode::Call, false, 4),
-        (0xC3, _) => (MacroOpcode::Ret, false, 0),
-        (0x90, _) => (MacroOpcode::Nop, false, 0),
-        _ => return None,
-    })
-}
+// The walk never reads past `MAX_INST_LEN`, so its lengths and prefix
+// counts narrow to `u8` exactly.
+const _: () = assert!(MAX_INST_LEN <= u8::MAX as usize);
 
 /// Disassembles the instruction at the start of `bytes`.
 ///
+/// This is the one byte walk of the format: prefixes, REXBC, predicate,
+/// REX, opcode (classified by the opcode table in
+/// [`encoding`](crate::encoding)), ModRM/SIB, displacement and
+/// immediate. The length decoder projects its result. Every read is
+/// checked against [`MAX_INST_LEN`] before the buffer, so an instruction
+/// that would run past the limit is [`DecodeError::TooLong`] however
+/// many bytes follow, and every accepted length is in
+/// `1..=MAX_INST_LEN`.
+///
 /// # Errors
 ///
-/// Returns the same [`DecodeError`]s as the length decoder: truncated
-/// streams and unknown opcodes.
+/// Returns [`DecodeError`] on truncated streams, unknown opcodes, or
+/// over-long instructions.
 pub fn disassemble(bytes: &[u8]) -> Result<Disassembled, DecodeError> {
     let mut pos = 0usize;
     let next = |pos: &mut usize| -> Result<u8, DecodeError> {
+        if *pos >= MAX_INST_LEN {
+            return Err(DecodeError::TooLong);
+        }
         let b = *bytes.get(*pos).ok_or(DecodeError::Truncated)?;
         *pos += 1;
         Ok(b)
@@ -117,6 +109,7 @@ pub fn disassemble(bytes: &[u8]) -> Result<Disassembled, DecodeError> {
     while matches!(b, 0x66 | 0x67 | 0xF2 | 0xF3 | 0x2E | 0x3E) {
         b = next(&mut pos)?;
     }
+    let legacy_prefixes = (pos - 1) as u8;
     let mut has_rexbc = false;
     let mut rexbc_payload = 0u8;
     if b == REXBC_MARKER {
@@ -137,12 +130,13 @@ pub fn disassemble(bytes: &[u8]) -> Result<Disassembled, DecodeError> {
         rex = b & 0x0F;
         b = next(&mut pos)?;
     }
-    let (opcode, has_modrm, imm_bytes) = if b == 0x0F {
-        let b2 = next(&mut pos)?;
-        opcode_of(0x0F, Some(b2)).ok_or(DecodeError::UnknownOpcode(b2))?
+    let escaped = if b == 0x0F {
+        Some(next(&mut pos)?)
     } else {
-        opcode_of(b, None).ok_or(DecodeError::UnknownOpcode(b))?
+        None
     };
+    let row =
+        OpcodeRow::lookup(b, escaped).ok_or(DecodeError::UnknownOpcode(escaped.unwrap_or(b)))?;
 
     // Reassemble extended register numbers: 3 ModRM/SIB/opcode bits +
     // 1 REX bit + 2 REXBC bits.
@@ -158,13 +152,13 @@ pub fn disassemble(bytes: &[u8]) -> Result<Disassembled, DecodeError> {
     let mut index = None;
     let mut mode = None;
     let mut disp_bytes = 0u8;
-    if !has_modrm && (0xB0..=0xBF).contains(&b) {
+    if row.reg_in_opcode {
         // B0+rb / B8+rd mov-immediate: the destination's low 3 bits sit
         // in the opcode byte; its high bits borrow the REX.b / REXBC
         // base-extension bits (there is no rm operand to collide with).
         reg = Some((b & 0x7) | (rex_b << 3) | (bc_b << 4));
     }
-    if has_modrm {
+    if row.has_modrm {
         let modrm = next(&mut pos)?;
         let mod_bits = modrm >> 6;
         let reg_low = (modrm >> 3) & 0x7;
@@ -210,7 +204,7 @@ pub fn disassemble(bytes: &[u8]) -> Result<Disassembled, DecodeError> {
         }
     }
     let imm_start = pos;
-    for _ in 0..imm_bytes {
+    for _ in 0..row.imm_bytes {
         next(&mut pos)?;
     }
     let imm = match bytes.get(imm_start..pos) {
@@ -220,8 +214,9 @@ pub fn disassemble(bytes: &[u8]) -> Result<Disassembled, DecodeError> {
     };
 
     Ok(Disassembled {
-        opcode,
+        opcode: row.opcode,
         len: pos as u8,
+        legacy_prefixes,
         has_rex,
         rex_w: has_rex && (rex & 0x8) != 0,
         has_rexbc,
@@ -231,7 +226,7 @@ pub fn disassemble(bytes: &[u8]) -> Result<Disassembled, DecodeError> {
         index,
         mode,
         disp_bytes,
-        imm_bytes,
+        imm_bytes: row.imm_bytes,
         imm,
     })
 }
@@ -251,6 +246,27 @@ pub struct SpannedInst {
     pub inst: Disassembled,
 }
 
+/// The one stream loop: walks `bytes` instruction by instruction and
+/// keeps `project(offset, inst)` of each. The walk consumes at least one
+/// byte per instruction, so the loop always advances.
+pub(crate) fn walk_stream<T>(
+    bytes: &[u8],
+    mut project: impl FnMut(usize, Disassembled) -> T,
+) -> Result<Vec<T>, StreamError> {
+    let mut out = Vec::new();
+    let mut offset = 0usize;
+    while offset < bytes.len() {
+        let inst = disassemble(&bytes[offset..]).map_err(|source| StreamError {
+            offset,
+            index: out.len(),
+            source,
+        })?;
+        out.push(project(offset, inst));
+        offset += inst.len as usize;
+    }
+    Ok(out)
+}
+
 /// Disassembles a whole stream, recording each instruction's byte
 /// offset.
 ///
@@ -259,20 +275,8 @@ pub struct SpannedInst {
 /// Fails on the first undecodable instruction. The [`StreamError`]
 /// reports the failing instruction's index and how many bytes were
 /// consumed by the instructions that decoded cleanly before it.
-pub fn disassemble_stream_with_offsets(mut bytes: &[u8]) -> Result<Vec<SpannedInst>, StreamError> {
-    let mut out: Vec<SpannedInst> = Vec::new();
-    let mut offset = 0usize;
-    while !bytes.is_empty() {
-        let inst = disassemble(bytes).map_err(|source| StreamError {
-            offset,
-            index: out.len(),
-            source,
-        })?;
-        out.push(SpannedInst { offset, inst });
-        offset += inst.len as usize;
-        bytes = &bytes[inst.len as usize..];
-    }
-    Ok(out)
+pub fn disassemble_stream_with_offsets(bytes: &[u8]) -> Result<Vec<SpannedInst>, StreamError> {
+    walk_stream(bytes, |offset, inst| SpannedInst { offset, inst })
 }
 
 /// Disassembles a whole stream.
@@ -283,10 +287,7 @@ pub fn disassemble_stream_with_offsets(mut bytes: &[u8]) -> Result<Vec<SpannedIn
 /// reports the failing instruction's index and how many bytes were
 /// consumed by the instructions that decoded cleanly before it.
 pub fn disassemble_stream(bytes: &[u8]) -> Result<Vec<Disassembled>, StreamError> {
-    Ok(disassemble_stream_with_offsets(bytes)?
-        .into_iter()
-        .map(|s| s.inst)
-        .collect())
+    walk_stream(bytes, |_, inst| inst)
 }
 
 #[cfg(test)]
@@ -310,16 +311,10 @@ mod tests {
             source,
         })?;
         assert_eq!(d.len as usize, enc.len(), "{inst}");
-        assert_eq!(d.opcode, canonical_group(inst.opcode), "{inst}");
+        assert_eq!(d.opcode, inst.opcode, "{inst}");
         assert_eq!(d.has_rexbc, enc.has_rexbc, "{inst}");
         assert_eq!(d.predicate.is_some(), enc.has_predicate, "{inst}");
         Ok(d)
-    }
-
-    /// Mov-with-immediate reuses ALU opcodes in display; canonical group
-    /// for comparison.
-    fn canonical_group(op: MacroOpcode) -> MacroOpcode {
-        op
     }
 
     #[test]

@@ -16,13 +16,18 @@
 //!   encodes the predicate register (bits 0-6) and the true/not-true
 //!   sense (bit 7).
 //!
-//! [`Encoder`] turns a [`MachineInst`] into bytes for a given
-//! [`FeatureSet`]; [`InstLengthDecoder`] parses raw bytes back into
-//! lengths and prefix flags the way the hardware ILD does. The two are
-//! inverse by construction and property-tested to stay that way.
+//! The format is described once, by the opcode table (`OPCODES`: opcode
+//! bytes, macro-op group, ModRM, immediate width). [`Encoder`] turns a
+//! [`MachineInst`] into bytes for a given [`FeatureSet`] by picking a row
+//! of it. Bytes are read back by one bounded walk,
+//! [`disassemble`], which classifies the
+//! opcode by the same table. [`InstLengthDecoder`], the lengths and
+//! prefix flags the hardware ILD marks, is a projection of that walk.
+//! Encoder and walk are property-tested to stay inverse.
 
 use std::fmt;
 
+use crate::disasm::{disassemble, walk_stream, Disassembled};
 use crate::error::{IsaError, StreamError};
 use crate::feature_set::{FeatureSet, RegisterWidth};
 use crate::inst::{AddressingMode, MachineInst, MacroOpcode};
@@ -101,222 +106,98 @@ impl fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-/// Opcode table entry: how the ILD decodes lengths after the opcode.
-#[derive(Debug, Clone, Copy)]
-struct OpcodeInfo {
-    has_modrm: bool,
-    imm_bytes: u8,
+/// One row of [`OPCODES`]: the bytes of one opcode form and what follows
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OpcodeRow {
+    /// Opcode bytes: one, or two behind the `0x0F` escape.
+    pub(crate) bytes: &'static [u8],
+    /// The macro-op group the form belongs to.
+    pub(crate) opcode: MacroOpcode,
+    /// Whether a ModRM byte (and so maybe SIB and displacement) follows.
+    pub(crate) has_modrm: bool,
+    /// Immediate bytes after the operand bytes.
+    pub(crate) imm_bytes: u8,
+    /// `B0+rb` / `B8+rd`: the low 3 bits of the opcode byte carry the
+    /// destination register, so the row covers 8 byte values.
+    pub(crate) reg_in_opcode: bool,
 }
 
-/// Maps a [`MacroOpcode`] (+ immediate width) to its opcode bytes.
-///
-/// The byte values follow real x86 where a natural analogue exists
-/// (e.g. `0x0F 0xAF` imul, `0xE9` jmp rel32, `0x0F 0x44` cmov).
-fn opcode_bytes(opcode: MacroOpcode, imm: u8) -> (&'static [u8], OpcodeInfo) {
-    match (opcode, imm) {
-        (MacroOpcode::Mov, 0) => (
-            &[0x89],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 0,
-            },
-        ),
-        (MacroOpcode::Mov, 1) => (
-            &[0xB0],
-            OpcodeInfo {
-                has_modrm: false,
-                imm_bytes: 1,
-            },
-        ),
-        (MacroOpcode::Mov, 2) => (
-            &[0xC6],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 1,
-            },
-        ),
-        (MacroOpcode::Mov, 3) => (
-            &[0xC7],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 4,
-            },
-        ),
-        (MacroOpcode::Mov, _) => (
-            &[0xB8],
-            OpcodeInfo {
-                has_modrm: false,
-                imm_bytes: 4,
-            },
-        ),
-        (MacroOpcode::IntAlu, 0) => (
-            &[0x01],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 0,
-            },
-        ),
-        (MacroOpcode::IntAlu, 1) => (
-            &[0x83],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 1,
-            },
-        ),
-        (MacroOpcode::IntAlu, _) => (
-            &[0x81],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 4,
-            },
-        ),
-        (MacroOpcode::IntMul, _) => (
-            &[0x0F, 0xAF],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 0,
-            },
-        ),
-        (MacroOpcode::Lea, _) => (
-            &[0x8D],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 0,
-            },
-        ),
-        (MacroOpcode::Load, _) => (
-            &[0x8B],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 0,
-            },
-        ),
-        (MacroOpcode::Store, _) => (
-            &[0x88],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 0,
-            },
-        ),
-        (MacroOpcode::FpAlu, _) => (
-            &[0x0F, 0x58],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 0,
-            },
-        ),
-        (MacroOpcode::FpMul, _) => (
-            &[0x0F, 0x59],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 0,
-            },
-        ),
-        (MacroOpcode::VecAlu, _) => (
-            &[0x0F, 0xFE],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 0,
-            },
-        ),
-        (MacroOpcode::Branch, _) => (
-            &[0x0F, 0x84],
-            OpcodeInfo {
-                has_modrm: false,
-                imm_bytes: 4,
-            },
-        ),
-        (MacroOpcode::Jump, _) => (
-            &[0xE9],
-            OpcodeInfo {
-                has_modrm: false,
-                imm_bytes: 4,
-            },
-        ),
-        (MacroOpcode::Call, _) => (
-            &[0xE8],
-            OpcodeInfo {
-                has_modrm: false,
-                imm_bytes: 4,
-            },
-        ),
-        (MacroOpcode::Ret, _) => (
-            &[0xC3],
-            OpcodeInfo {
-                has_modrm: false,
-                imm_bytes: 0,
-            },
-        ),
-        (MacroOpcode::Cmov, _) => (
-            &[0x0F, 0x44],
-            OpcodeInfo {
-                has_modrm: true,
-                imm_bytes: 0,
-            },
-        ),
-        (MacroOpcode::Nop, _) => (
-            &[0x90],
-            OpcodeInfo {
-                has_modrm: false,
-                imm_bytes: 0,
-            },
-        ),
+const fn row(bytes: &'static [u8], opcode: MacroOpcode, has_modrm: bool, imm: u8) -> OpcodeRow {
+    OpcodeRow {
+        bytes,
+        opcode,
+        has_modrm,
+        imm_bytes: imm,
+        reg_in_opcode: false,
     }
 }
 
-/// Length-decode info keyed by opcode bytes, used by the ILD. Mirrors
-/// [`opcode_bytes`] exactly.
-fn opcode_info_for(first: u8, second: Option<u8>) -> Option<OpcodeInfo> {
-    Some(match (first, second) {
-        (0x0F, Some(0xAF | 0x58 | 0x59 | 0xFE | 0x44)) => OpcodeInfo {
-            has_modrm: true,
-            imm_bytes: 0,
-        },
-        (0x0F, Some(0x84)) => OpcodeInfo {
-            has_modrm: false,
-            imm_bytes: 4,
-        },
-        (0x0F, _) => return None,
-        (0x89 | 0x01 | 0x8D | 0x8B | 0x88, _) => OpcodeInfo {
-            has_modrm: true,
-            imm_bytes: 0,
-        },
-        (0x83, _) => OpcodeInfo {
-            has_modrm: true,
-            imm_bytes: 1,
-        },
-        (0x81, _) => OpcodeInfo {
-            has_modrm: true,
-            imm_bytes: 4,
-        },
-        // B0+rb / B8+rd: the register-form mov-immediate embeds its
-        // destination in the opcode byte's low 3 bits.
-        (0xB0..=0xB7, _) => OpcodeInfo {
-            has_modrm: false,
-            imm_bytes: 1,
-        },
-        (0xB8..=0xBF, _) => OpcodeInfo {
-            has_modrm: false,
-            imm_bytes: 4,
-        },
-        (0xC6, _) => OpcodeInfo {
-            has_modrm: true,
-            imm_bytes: 1,
-        },
-        (0xC7, _) => OpcodeInfo {
-            has_modrm: true,
-            imm_bytes: 4,
-        },
-        (0xE9 | 0xE8, _) => OpcodeInfo {
-            has_modrm: false,
-            imm_bytes: 4,
-        },
-        (0xC3 | 0x90, _) => OpcodeInfo {
-            has_modrm: false,
-            imm_bytes: 0,
-        },
-        _ => return None,
-    })
+const fn reg_in_opcode(bytes: &'static [u8], opcode: MacroOpcode, imm: u8) -> OpcodeRow {
+    OpcodeRow {
+        reg_in_opcode: true,
+        ..row(bytes, opcode, false, imm)
+    }
+}
+
+/// The opcode table: the one description of every opcode form, read by
+/// the [`Encoder`] to pick bytes and by the byte walk
+/// ([`disassemble`]) to classify them.
+///
+/// Byte values follow real x86 where a natural analogue exists (e.g.
+/// `0x0F 0xAF` imul, `0xE9` jmp rel32, `0x0F 0x44` cmov). A group's
+/// first row is its form when no row matches the immediate width.
+const OPCODES: [OpcodeRow; 21] = [
+    row(&[0x89], MacroOpcode::Mov, true, 0),
+    reg_in_opcode(&[0xB0], MacroOpcode::Mov, 1),
+    reg_in_opcode(&[0xB8], MacroOpcode::Mov, 4),
+    row(&[0xC6], MacroOpcode::Mov, true, 1),
+    row(&[0xC7], MacroOpcode::Mov, true, 4),
+    row(&[0x01], MacroOpcode::IntAlu, true, 0),
+    row(&[0x83], MacroOpcode::IntAlu, true, 1),
+    row(&[0x81], MacroOpcode::IntAlu, true, 4),
+    row(&[0x0F, 0xAF], MacroOpcode::IntMul, true, 0),
+    row(&[0x8D], MacroOpcode::Lea, true, 0),
+    row(&[0x8B], MacroOpcode::Load, true, 0),
+    row(&[0x88], MacroOpcode::Store, true, 0),
+    row(&[0x0F, 0x58], MacroOpcode::FpAlu, true, 0),
+    row(&[0x0F, 0x59], MacroOpcode::FpMul, true, 0),
+    row(&[0x0F, 0xFE], MacroOpcode::VecAlu, true, 0),
+    row(&[0x0F, 0x84], MacroOpcode::Branch, false, 4),
+    row(&[0xE9], MacroOpcode::Jump, false, 4),
+    row(&[0xE8], MacroOpcode::Call, false, 4),
+    row(&[0xC3], MacroOpcode::Ret, false, 0),
+    row(&[0x0F, 0x44], MacroOpcode::Cmov, true, 0),
+    row(&[0x90], MacroOpcode::Nop, false, 0),
+];
+
+impl OpcodeRow {
+    /// The form an instruction encodes with: its group's row for its
+    /// immediate width (a register-in-opcode row only without a memory
+    /// operand), else the group's first row.
+    fn for_inst(inst: &MachineInst) -> &'static OpcodeRow {
+        let imm = match inst.src1.imm_bytes().max(inst.src2.imm_bytes()) {
+            0 => 0,
+            1 => 1,
+            _ => 4,
+        };
+        let mut group = OPCODES.iter().filter(|r| r.opcode == inst.opcode);
+        group
+            .clone()
+            .find(|r| r.imm_bytes == imm && !(r.reg_in_opcode && inst.mem.is_some()))
+            .or_else(|| group.next())
+            .expect("every MacroOpcode has an opcode row")
+    }
+
+    /// The row an opcode byte selects; `escaped` is the byte after a
+    /// `0x0F` escape.
+    pub(crate) fn lookup(first: u8, escaped: Option<u8>) -> Option<&'static OpcodeRow> {
+        OPCODES.iter().find(|r| match (r.bytes, escaped) {
+            (&[escape, second], Some(b)) => escape == first && second == b,
+            (&[only], None) => only == first || (r.reg_in_opcode && only == first & !0x7),
+            _ => false,
+        })
+    }
 }
 
 /// Encodes [`MachineInst`]s into superset-ISA bytes.
@@ -364,6 +245,7 @@ impl Encoder {
                 feature_set: self.fs.to_string(),
             });
         }
+        let row = OpcodeRow::for_inst(inst);
         let mut bytes = Vec::with_capacity(8);
 
         // Legacy prefixes: SSE scalar/packed selection, mimicking real
@@ -386,7 +268,7 @@ impl Encoder {
             .registers()
             .any(|r| r.encoding_tier() == EncodingTier::Rexbc);
         if needs_rexbc {
-            let payload = Self::rexbc_payload(inst);
+            let payload = Self::rexbc_payload(inst, row);
             bytes.push(REXBC_MARKER);
             bytes.push(payload);
         }
@@ -408,24 +290,17 @@ impl Encoder {
                 .any(|r| r.encoding_tier() >= EncodingTier::Rex);
         if needs_rex {
             let w = (inst.wide as u8) << 3;
-            let rex_bits = Self::rex_bits(inst);
+            let rex_bits = Self::rex_bits(inst, row);
             bytes.push(0x40 | w | rex_bits);
         }
 
-        let mut imm = inst.src1.imm_bytes().max(inst.src2.imm_bytes());
-        // mov-immediate to a memory destination needs the ModRM form
-        // (x86's 0xC6/0xC7), not the register-encoded 0xB0/0xB8.
-        if inst.opcode == MacroOpcode::Mov && inst.mem.is_some() && imm > 0 {
-            imm = if imm == 1 { 2 } else { 3 };
-        }
-        let (op_bytes, info) = opcode_bytes(inst.opcode, imm);
-        bytes.extend_from_slice(op_bytes);
+        bytes.extend_from_slice(row.bytes);
         // The register-form mov-immediate (B0+rb / B8+rd, no ModRM)
         // carries its destination in the opcode byte's low 3 bits; the
         // high bits ride the REX.b / REXBC base-extension bits via
         // `rm_register`. Without this the destination would be invisible
         // to the disassembler.
-        if !info.has_modrm && matches!(op_bytes, [0xB0] | [0xB8]) {
+        if row.reg_in_opcode {
             if let (Some(dst), Some(last)) = (inst.dst, bytes.last_mut()) {
                 *last |= dst.index() & 0x7;
             }
@@ -434,7 +309,7 @@ impl Encoder {
         let mut has_modrm = false;
         let mut has_sib = false;
         let mut disp_bytes = 0u8;
-        if info.has_modrm {
+        if row.has_modrm {
             has_modrm = true;
             let (modrm, sib, disp) = Self::modrm_sib(inst);
             bytes.push(modrm);
@@ -447,7 +322,7 @@ impl Encoder {
                 bytes.push(0x10 + i); // deterministic placeholder displacement
             }
         }
-        for i in 0..info.imm_bytes {
+        for i in 0..row.imm_bytes {
             bytes.push(0x20 + i); // deterministic placeholder immediate
         }
 
@@ -458,17 +333,12 @@ impl Encoder {
             has_rexbc: needs_rexbc,
             has_predicate,
             has_rex: needs_rex,
-            opcode_len: op_bytes.len() as u8,
+            opcode_len: row.bytes.len() as u8,
             has_modrm,
             has_sib,
             disp_bytes,
-            imm_bytes: info.imm_bytes,
+            imm_bytes: row.imm_bytes,
         })
-    }
-
-    /// Encoded length of an instruction without materializing bytes.
-    pub fn encoded_len(&self, inst: &MachineInst) -> Result<usize, EncodeError> {
-        self.encode(inst).map(|e| e.len())
     }
 
     /// Encodes a whole instruction sequence into one contiguous byte
@@ -494,9 +364,8 @@ impl Encoder {
     /// register-direct rm operand chosen by [`Self::modrm_sib`]. The REX.b
     /// and REXBC base extension bits must cover exactly this register or
     /// high-register encodings collide.
-    fn rm_register(inst: &MachineInst) -> Option<ArchReg> {
-        let imm = inst.src1.imm_bytes().max(inst.src2.imm_bytes());
-        if inst.opcode == MacroOpcode::Mov && inst.mem.is_none() && imm > 0 {
+    fn rm_register(inst: &MachineInst, row: &OpcodeRow) -> Option<ArchReg> {
+        if row.reg_in_opcode {
             // Register-form mov-immediate (B0+rb / B8+rd): there is no
             // rm operand (any register source is dropped by the form),
             // so the base-extension bits cover the opcode-embedded
@@ -509,21 +378,21 @@ impl Encoder {
             .or(inst.src1.reg())
     }
 
-    fn rexbc_payload(inst: &MachineInst) -> u8 {
+    fn rexbc_payload(inst: &MachineInst, row: &OpcodeRow) -> u8 {
         // 2 bits each for reg, index, base extension; low 2 bits lift
         // the sub-register pairing restrictions (always set here).
         let ext = |r: Option<ArchReg>| r.map_or(0, |r| (r.index() >> 4) & 0x3);
         let reg = ext(inst.dst.or(inst.src1.reg()));
         let index = ext(inst.mem.and_then(|m| m.index));
-        let base = ext(Self::rm_register(inst));
+        let base = ext(Self::rm_register(inst, row));
         (reg << 6) | (index << 4) | (base << 2) | 0b11
     }
 
-    fn rex_bits(inst: &MachineInst) -> u8 {
+    fn rex_bits(inst: &MachineInst, row: &OpcodeRow) -> u8 {
         let bit = |r: Option<ArchReg>| r.map_or(0, |r| (r.index() >> 3) & 1);
         let r = bit(inst.dst.or(inst.src1.reg()));
         let x = bit(inst.mem.and_then(|m| m.index));
-        let b = bit(Self::rm_register(inst));
+        let b = bit(Self::rm_register(inst, row));
         (r << 2) | (x << 1) | b
     }
 
@@ -591,6 +460,19 @@ pub struct DecodedLength {
     pub has_rex: bool,
 }
 
+impl DecodedLength {
+    /// The ILD's view of one walked instruction.
+    fn of(d: Disassembled) -> Self {
+        DecodedLength {
+            len: d.len as usize,
+            legacy_prefixes: d.legacy_prefixes,
+            has_rexbc: d.has_rexbc,
+            has_predicate: d.predicate.is_some(),
+            has_rex: d.has_rex,
+        }
+    }
+}
+
 /// Errors from length decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
@@ -598,7 +480,7 @@ pub enum DecodeError {
     Truncated,
     /// Unknown opcode byte.
     UnknownOpcode(u8),
-    /// Instruction exceeds the 15-byte architectural limit.
+    /// Instruction exceeds the [`MAX_INST_LEN`]-byte architectural limit.
     TooLong,
 }
 
@@ -607,16 +489,18 @@ impl fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "byte stream ends mid-instruction"),
             DecodeError::UnknownOpcode(b) => write!(f, "unknown opcode byte {b:#04x}"),
-            DecodeError::TooLong => write!(f, "instruction exceeds 15 bytes"),
+            DecodeError::TooLong => write!(f, "instruction exceeds {MAX_INST_LEN} bytes"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// The instruction-length decoder: parses raw bytes exactly the way the
-/// hardware ILD of Section V-B does (prefix scan, speculative length
-/// calculation, mark boundaries).
+/// The instruction-length decoder: the lengths and prefix flags the
+/// hardware ILD of Section V-B marks (prefix scan, length calculation,
+/// boundaries). It is a projection of the one byte walk,
+/// [`disassemble`], so the two cannot
+/// disagree.
 #[derive(Debug, Clone, Default)]
 pub struct InstLengthDecoder;
 
@@ -634,80 +518,7 @@ impl InstLengthDecoder {
     /// Returns [`DecodeError`] on truncated streams, unknown opcodes, or
     /// over-long instructions.
     pub fn decode_one(&self, bytes: &[u8]) -> Result<DecodedLength, DecodeError> {
-        let mut pos = 0usize;
-        let next = |pos: &mut usize| -> Result<u8, DecodeError> {
-            let b = *bytes.get(*pos).ok_or(DecodeError::Truncated)?;
-            *pos += 1;
-            Ok(b)
-        };
-
-        let mut legacy = 0u8;
-        let mut has_rexbc = false;
-        let mut has_predicate = false;
-        let mut has_rex = false;
-
-        // Legacy prefixes.
-        let mut b = next(&mut pos)?;
-        while matches!(b, 0x66 | 0x67 | 0xF2 | 0xF3 | 0x2E | 0x3E) {
-            legacy += 1;
-            b = next(&mut pos)?;
-        }
-        // REXBC.
-        if b == REXBC_MARKER {
-            has_rexbc = true;
-            let _payload = next(&mut pos)?;
-            b = next(&mut pos)?;
-        }
-        // Predicate.
-        if b == PREDICATE_MARKER {
-            has_predicate = true;
-            let _payload = next(&mut pos)?;
-            b = next(&mut pos)?;
-        }
-        // REX.
-        if (0x40..=0x4F).contains(&b) {
-            has_rex = true;
-            b = next(&mut pos)?;
-        }
-        // Opcode (possibly 2-byte).
-        let info = if b == 0x0F {
-            let b2 = next(&mut pos)?;
-            opcode_info_for(0x0F, Some(b2)).ok_or(DecodeError::UnknownOpcode(b2))?
-        } else {
-            opcode_info_for(b, None).ok_or(DecodeError::UnknownOpcode(b))?
-        };
-
-        if info.has_modrm {
-            let modrm = next(&mut pos)?;
-            let mod_bits = modrm >> 6;
-            let rm = modrm & 0x7;
-            if mod_bits != 0b11 && rm == 0b100 {
-                let _sib = next(&mut pos)?;
-            }
-            let disp = match (mod_bits, rm) {
-                (0b00, 0b101) => 4,
-                (0b01, _) => 1,
-                (0b10, _) => 4,
-                _ => 0,
-            };
-            for _ in 0..disp {
-                next(&mut pos)?;
-            }
-        }
-        for _ in 0..info.imm_bytes {
-            next(&mut pos)?;
-        }
-
-        if pos > MAX_INST_LEN {
-            return Err(DecodeError::TooLong);
-        }
-        Ok(DecodedLength {
-            len: pos,
-            legacy_prefixes: legacy,
-            has_rexbc,
-            has_predicate,
-            has_rex,
-        })
+        disassemble(bytes).map(DecodedLength::of)
     }
 
     /// Decodes a whole byte stream into consecutive instruction lengths.
@@ -718,20 +529,8 @@ impl InstLengthDecoder {
     /// an error too. The returned [`StreamError`] reports the failing
     /// instruction's index and byte offset (= bytes successfully
     /// consumed), so callers can keep the clean prefix.
-    pub fn decode_stream(&self, mut bytes: &[u8]) -> Result<Vec<DecodedLength>, StreamError> {
-        let mut out = Vec::new();
-        let mut offset = 0usize;
-        while !bytes.is_empty() {
-            let d = self.decode_one(bytes).map_err(|source| StreamError {
-                offset,
-                index: out.len(),
-                source,
-            })?;
-            offset += d.len;
-            bytes = &bytes[d.len..];
-            out.push(d);
-        }
-        Ok(out)
+    pub fn decode_stream(&self, bytes: &[u8]) -> Result<Vec<DecodedLength>, StreamError> {
+        walk_stream(bytes, |_, d| DecodedLength::of(d))
     }
 }
 
@@ -779,8 +578,8 @@ mod tests {
             Operand::None,
         );
         let enc = Encoder::new(FeatureSet::superset());
-        let lo_len = enc.encoded_len(&lo).unwrap();
-        let hi_len = enc.encoded_len(&hi).unwrap();
+        let lo_len = enc.encode(&lo).unwrap().len();
+        let hi_len = enc.encode(&hi).unwrap().len();
         // REXBC is 2 bytes and always rides with a REX prefix (its 2
         // extra bits per operand combine with the REX bit).
         assert_eq!(hi_len, lo_len + 3);
@@ -794,8 +593,8 @@ mod tests {
         let pred = plain.predicated_on(r(5), true);
         let enc = Encoder::new(FeatureSet::superset());
         assert_eq!(
-            enc.encoded_len(&pred).unwrap(),
-            enc.encoded_len(&plain).unwrap() + 2
+            enc.encode(&pred).unwrap().len(),
+            enc.encode(&plain).unwrap().len() + 2
         );
         roundtrip(&pred, FeatureSet::superset());
     }
@@ -806,8 +605,8 @@ mod tests {
         let hi = MachineInst::compute(MacroOpcode::IntAlu, r(9), Operand::Reg(r(2)), Operand::None);
         let enc = Encoder::new(FeatureSet::x86_64());
         assert_eq!(
-            enc.encoded_len(&hi).unwrap(),
-            enc.encoded_len(&lo).unwrap() + 1
+            enc.encode(&hi).unwrap().len(),
+            enc.encode(&lo).unwrap().len() + 1
         );
     }
 
@@ -909,6 +708,33 @@ mod tests {
             Err(DecodeError::UnknownOpcode(0xFF))
         );
         assert_eq!(ild.decode_one(&[0x83, 0xC0]), Err(DecodeError::Truncated)); // missing imm8
+
+        // 16 prefixes + nop is exactly MAX_INST_LEN bytes; one more
+        // prefix is too long, however many bytes follow.
+        let mut nop = vec![0x66; MAX_INST_LEN - 1];
+        nop.push(0x90);
+        assert_eq!(ild.decode_one(&nop).map(|d| d.len), Ok(MAX_INST_LEN));
+        nop.insert(0, 0x66);
+        assert_eq!(ild.decode_one(&nop), Err(DecodeError::TooLong));
+        assert_eq!(ild.decode_one(&[0x66; 300]), Err(DecodeError::TooLong));
+        assert_eq!(
+            DecodeError::TooLong.to_string(),
+            "instruction exceeds 17 bytes"
+        );
+    }
+
+    #[test]
+    fn every_opcode_row_classifies_to_itself() {
+        for row in &OPCODES {
+            let (first, escaped) = match row.bytes {
+                &[escape, second] => (escape, Some(second)),
+                bytes => (bytes[0], None),
+            };
+            let low_bits = if row.reg_in_opcode { 0..8 } else { 0..1 };
+            for low in low_bits {
+                assert_eq!(OpcodeRow::lookup(first | low, escaped), Some(row));
+            }
+        }
     }
 
     #[test]
@@ -961,8 +787,8 @@ mod tests {
         let i8 = MachineInst::compute(MacroOpcode::IntAlu, r(1), Operand::Imm(1), Operand::None);
         let i32 = MachineInst::compute(MacroOpcode::IntAlu, r(1), Operand::Imm(4), Operand::None);
         assert_eq!(
-            enc.encoded_len(&i32).unwrap(),
-            enc.encoded_len(&i8).unwrap() + 3
+            enc.encode(&i32).unwrap().len(),
+            enc.encode(&i8).unwrap().len() + 3
         );
         roundtrip(&i8, fs);
         roundtrip(&i32, fs);

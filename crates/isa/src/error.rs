@@ -5,10 +5,13 @@
 //! derived feature set. Decoders and simulators must therefore be
 //! *total* over their input space — a malformed encoding is a value the
 //! caller inspects (which instruction, at which byte offset, failed and
-//! why), never a crash. [`StreamError`] carries that context for the
-//! stream-level decode entry points; [`IsaError`] is the crate-level
-//! umbrella the fault-injection harness and the experiment binaries
-//! consume.
+//! why), never a crash. Every decode error comes from one bounded byte
+//! walk, [`disassemble`](crate::disasm::disassemble); the length decoder
+//! is a projection of it, so both report the same [`DecodeError`] for
+//! the same bytes. [`StreamError`] carries that context for the
+//! stream-level decode entry points, which share one stream loop;
+//! [`IsaError`] is the crate-level umbrella the fault-injection harness
+//! and the experiment binaries consume.
 
 use std::fmt;
 
@@ -18,8 +21,9 @@ use crate::feature_set::ViabilityError;
 /// A stream-level decode failure: *which* instruction failed, *where*
 /// in the byte stream, and *why*.
 ///
-/// Produced by [`crate::encoding::InstLengthDecoder::decode_stream`]
-/// and [`crate::disasm::disassemble_stream`]. Every instruction before
+/// Produced by the one stream loop behind
+/// [`crate::encoding::InstLengthDecoder::decode_stream`] and
+/// [`crate::disasm::disassemble_stream`]. Every instruction before
 /// `index` decoded cleanly; `offset` bytes were consumed by them, so a
 /// resynchronizing caller can keep the prefix and skip or repair the
 /// tail.

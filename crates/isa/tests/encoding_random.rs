@@ -1,10 +1,13 @@
 //! Randomized property tests: every encodable instruction roundtrips
-//! through the instruction-length decoder, under every feature set.
+//! through the instruction-length decoder, under every feature set, and
+//! the decoder stays total (and agrees with the disassembler) on hostile
+//! bytes.
 //!
 //! These run a fixed number of cases from a seeded [`SmallRng`], so
 //! they are deterministic across machines while still sweeping a wide
 //! slice of the instruction space.
 
+use cisa_isa::encoding::MAX_INST_LEN;
 use cisa_isa::inst::{MachineInst, MacroOpcode, MemLocality, MemOperand, MemRole, Operand};
 use cisa_isa::{ArchReg, Encoder, FeatureSet, InstLengthDecoder};
 use rand::rngs::SmallRng;
@@ -125,7 +128,7 @@ fn encode_decode_roundtrip() {
             continue;
         }
         let enc = encoder.encode(&inst).unwrap();
-        assert!(enc.len() <= cisa_isa::encoding::MAX_INST_LEN);
+        assert!(enc.len() <= MAX_INST_LEN);
         assert!(!enc.is_empty());
         let dec = InstLengthDecoder::new().decode_one(&enc.bytes).unwrap();
         assert_eq!(dec.len, enc.len());
@@ -234,18 +237,51 @@ fn mutate_stream(rng: &mut SmallRng, stream: &mut Vec<u8>) -> bool {
     }
 }
 
+/// Decodes the instruction at the start of `bytes` with both the length
+/// decoder and the disassembler: they must accept the same inputs with
+/// the same length and prefix flags, and reject the rest with the same
+/// error.
+fn assert_ild_matches_disassembler(bytes: &[u8]) {
+    let ild = InstLengthDecoder::new().decode_one(bytes);
+    let dis = cisa_isa::disassemble(bytes);
+    match (ild, dis) {
+        (Ok(l), Ok(d)) => {
+            assert!((1..=MAX_INST_LEN).contains(&l.len), "{bytes:02x?}");
+            assert_eq!(l.len, d.len as usize, "{bytes:02x?}");
+            assert_eq!(l.legacy_prefixes, d.legacy_prefixes, "{bytes:02x?}");
+            assert_eq!(l.has_rexbc, d.has_rexbc, "{bytes:02x?}");
+            assert_eq!(l.has_predicate, d.predicate.is_some(), "{bytes:02x?}");
+            assert_eq!(l.has_rex, d.has_rex, "{bytes:02x?}");
+        }
+        (Err(l), Err(d)) => assert_eq!(l, d, "{bytes:02x?}"),
+        (l, d) => panic!("ILD {l:?} but disassembler {d:?} on {bytes:02x?}"),
+    }
+}
+
 /// Checks the decoder's contract on an arbitrary (possibly corrupt)
 /// byte stream: it must return either a structurally consistent
 /// decoding or a structured error that accounts for every byte it
-/// consumed. Panics are impossible by construction of this test —
-/// any panic inside the decoder fails the test run itself.
+/// consumed, and the disassembler must walk the stream identically.
+/// Panics are impossible by construction of this test — any panic
+/// inside the decoder fails the test run itself.
 fn assert_decode_total(stream: &[u8]) {
-    match InstLengthDecoder::new().decode_stream(stream) {
+    let decoded = InstLengthDecoder::new().decode_stream(stream);
+    let spanned = cisa_isa::disassemble_stream_with_offsets(stream);
+    match (&decoded, &spanned) {
+        (Ok(lens), Ok(insts)) => {
+            let ild: Vec<usize> = lens.iter().map(|d| d.len).collect();
+            let dis: Vec<usize> = insts.iter().map(|s| s.inst.len as usize).collect();
+            assert_eq!(ild, dis, "ILD and disassembler split the stream alike");
+        }
+        (Err(l), Err(d)) => assert_eq!(l, d, "ILD and disassembler fail alike"),
+        (l, d) => panic!("ILD {l:?} but disassembler {d:?}"),
+    }
+    match decoded {
         Ok(decoded) => {
             let total: usize = decoded.iter().map(|d| d.len).sum();
             assert_eq!(total, stream.len(), "decoded lengths must tile the stream");
             for d in &decoded {
-                assert!(d.len >= 1 && d.len <= cisa_isa::encoding::MAX_INST_LEN);
+                assert!(d.len >= 1 && d.len <= MAX_INST_LEN);
             }
         }
         Err(e) => {
@@ -314,6 +350,54 @@ fn random_byte_soup_decodes_totally() {
     for _ in 0..2_000 {
         let len = rng.gen_range(0..48usize);
         let stream: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        assert_decode_total(&stream);
+    }
+}
+
+/// The legacy prefixes the decoder skips.
+const LEGACY_PREFIXES: [u8; 6] = [0x66, 0x67, 0xF2, 0xF3, 0x2E, 0x3E];
+
+/// One hostile instruction: a run of 0–300 legacy prefixes (most runs
+/// short enough to fit the length limit), then repeated REXBC /
+/// predicate markers with random payloads, then either a valid encoding
+/// or random bytes.
+fn hostile_inst(rng: &mut SmallRng, encoder: &Encoder) -> Vec<u8> {
+    let run = if rng.gen_bool(0.5) {
+        rng.gen_range(0..=300usize)
+    } else {
+        rng.gen_range(0..=MAX_INST_LEN)
+    };
+    let mut bytes: Vec<u8> = (0..run)
+        .map(|_| LEGACY_PREFIXES[rng.gen_range(0..LEGACY_PREFIXES.len())])
+        .collect();
+    for _ in 0..rng.gen_range(0..4usize) {
+        bytes.push(if rng.gen_bool(0.5) { 0xD6 } else { 0xF1 });
+        bytes.push(rng.gen());
+    }
+    match encoder.encode(&arb_inst(rng)) {
+        Ok(e) if rng.gen_bool(0.5) => bytes.extend_from_slice(&e.bytes),
+        _ => bytes.extend((0..rng.gen_range(0..24usize)).map(|_| rng.gen::<u8>())),
+    }
+    bytes
+}
+
+/// Fuzz: hostile instructions and streams of them. On every input, and
+/// on every truncation of it, the length decoder and the disassembler
+/// agree on accept, reject and length; accepted lengths are in
+/// `1..=MAX_INST_LEN`, and decoded streams tile their bytes.
+#[test]
+fn hostile_prefix_runs_decode_totally_and_agree() {
+    let mut rng = SmallRng::seed_from_u64(0x15A_F425);
+    let encoder = Encoder::new(FeatureSet::superset());
+    for _ in 0..512 {
+        let inst = hostile_inst(&mut rng, &encoder);
+        for end in 0..=inst.len() {
+            assert_ild_matches_disassembler(&inst[..end]);
+        }
+        assert_decode_total(&inst);
+        let stream: Vec<u8> = (0..rng.gen_range(1..6usize))
+            .flat_map(|_| hostile_inst(&mut rng, &encoder))
+            .collect();
         assert_decode_total(&stream);
     }
 }

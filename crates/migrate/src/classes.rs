@@ -75,11 +75,6 @@ impl MigrationClass {
             MigrationClass::StateTransforming => 2,
         }
     }
-
-    /// Inverse of [`MigrationClass::index`]; `None` out of range.
-    pub fn from_index(i: usize) -> Option<MigrationClass> {
-        MigrationClass::ALL.get(i).copied()
-    }
 }
 
 impl fmt::Display for MigrationClass {

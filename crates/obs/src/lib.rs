@@ -315,11 +315,6 @@ impl Snapshot {
         self.spans.get(path).map(|s| s.count).unwrap_or(0)
     }
 
-    /// Total wall-clock nanoseconds recorded under the named span path.
-    pub fn span_ns(&self, path: &str) -> u64 {
-        self.spans.get(path).map(|s| s.total_ns).unwrap_or(0)
-    }
-
     /// Iterates `(path, stat)` over all span aggregates in sorted order.
     pub fn spans(&self) -> impl Iterator<Item = (&str, SpanStat)> {
         self.spans.iter().map(|(k, v)| (k.as_str(), *v))

@@ -77,11 +77,6 @@ impl CoreBreakdown {
             + self.overhead
     }
 
-    /// The processor-only (no-L1) structures, as Figure 10 plots.
-    pub fn processor_only(&self) -> StructureCost {
-        self.fetch + self.decode + self.bpred + self.scheduler + self.regfile + self.fu
-    }
-
     /// Named iterator for report printing.
     pub fn named(&self) -> [(&'static str, StructureCost); 8] {
         [

@@ -13,7 +13,7 @@
 //! do the threads join and the listener close.
 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -37,7 +37,6 @@ const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
     supervisor: Option<JoinHandle<()>>,
     state: Arc<ServerState>,
 }
@@ -47,7 +46,6 @@ pub struct Server {
 struct WorkerCtx {
     rx: Arc<Mutex<Receiver<TcpStream>>>,
     state: Arc<ServerState>,
-    requests: Arc<AtomicU64>,
 }
 
 /// Everything the acceptor thread needs, bundled for respawning.
@@ -67,12 +65,10 @@ impl Server {
         let listener = Arc::new(TcpListener::bind(addr)?);
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let requests = Arc::new(AtomicU64::new(0));
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(state.config.queue_capacity.max(1));
         let worker_ctx = WorkerCtx {
             rx: Arc::new(Mutex::new(rx)),
             state: Arc::clone(&state),
-            requests: Arc::clone(&requests),
         };
         let acceptor_ctx = AcceptorCtx {
             listener,
@@ -102,7 +98,6 @@ impl Server {
         Ok(Server {
             addr: local,
             stop,
-            requests,
             supervisor: Some(supervisor),
             state,
         })
@@ -111,11 +106,6 @@ impl Server {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Requests served so far.
-    pub fn requests_served(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
     }
 
     /// Begins the drain (`/healthz` flips to `draining`, new work is
@@ -196,7 +186,7 @@ fn spawn_worker(i: usize, ctx: WorkerCtx) -> JoinHandle<()> {
                 guard.recv()
             };
             match conn {
-                Ok(stream) => serve_connection(stream, &ctx.state, &ctx.requests),
+                Ok(stream) => serve_connection(stream, &ctx.state),
                 Err(_) => return, // all senders gone: shutdown
             }
         })
@@ -259,7 +249,7 @@ fn reject(stream: &mut TcpStream, status: u16, code: &str, message: &str) {
 }
 
 /// Serves one connection's keep-alive request sequence.
-fn serve_connection(mut stream: TcpStream, state: &Arc<ServerState>, requests: &Arc<AtomicU64>) {
+fn serve_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
     loop {
         // During a drain, wait only `drain_grace` for the next
         // pipelined request, and close after answering it.
@@ -336,7 +326,6 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<ServerState>, requests: &
         cisa_obs::counter(&format!("serve/status/{}", reply.status), 1);
         let latency = started.elapsed().as_nanos() as u64;
         cisa_obs::hist("serve/latency_ns", latency);
-        requests.fetch_add(1, Ordering::Relaxed);
 
         // Re-read the lifecycle: a drain that began while this request
         // was in flight must still close the connection now.

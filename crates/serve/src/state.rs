@@ -377,7 +377,6 @@ pub struct ServerState {
     pub phases: Vec<PhaseSpec>,
     by_name: HashMap<String, usize>,
     pinned: HashMap<u64, Arc<AffinityRow>>,
-    pinned_by_phase: Vec<Arc<AffinityRow>>,
     rows: ShardedLru<Arc<AffinityRow>>,
     store: ShardedProfileStore,
     inflight: Mutex<HashMap<u64, InflightCell>>,
@@ -416,7 +415,6 @@ impl ServerState {
         let n_ua = space.microarchs.len();
         let n_fs = space.feature_sets.len();
         let mut pinned = HashMap::new();
-        let mut pinned_by_phase = Vec::with_capacity(phases.len());
         let mut by_name = HashMap::new();
         for (pi, spec) in phases.iter().enumerate() {
             let mut perfs = Vec::with_capacity(n_fs * n_ua);
@@ -437,8 +435,7 @@ impl ServerState {
                 fingerprint: fingerprint.clone(),
                 perfs,
             });
-            pinned.insert(row_key(&fingerprint), Arc::clone(&row));
-            pinned_by_phase.push(Arc::clone(&row));
+            pinned.insert(row_key(&fingerprint), row);
             by_name.insert(spec.name(), pi);
         }
         let rows = ShardedLru::new(config.row_shards, config.row_capacity_per_shard);
@@ -450,7 +447,6 @@ impl ServerState {
             phases,
             by_name,
             pinned,
-            pinned_by_phase,
             rows,
             store,
             inflight: Mutex::new(HashMap::new()),
@@ -487,12 +483,6 @@ impl ServerState {
     /// chaos plan to target specific requests deterministically).
     pub fn next_request_seq(&self) -> u64 {
         self.request_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The pinned row of a known phase name, with its phase index.
-    pub fn phase_row(&self, name: &str) -> Option<(usize, Arc<AffinityRow>)> {
-        let pi = *self.by_name.get(name)?;
-        Some((pi, Arc::clone(&self.pinned_by_phase[pi])))
     }
 
     /// The known phase spec for `name`.
