@@ -101,6 +101,10 @@ fn main() {
             p.migrations[2],
             p.cap_blocked
         );
+        println!(
+            "{:<16} work: {} dispatch iterations, {} candidates priced, {} policy calls",
+            "", p.dispatch_iterations, p.candidates_priced, p.policy_calls
+        );
     }
     println!(
         "simulated {} thread-lifetimes x {} policies in {sim_s:.1}s",

@@ -1,8 +1,11 @@
 //! Scheduler policies: how a thread picks (or is pinned to) a core.
 //!
-//! The event loop builds a [`Candidate`] per idle, power-feasible core
-//! whenever a thread needs a core, and asks the policy to choose. The
-//! three shipped policies bracket the design space the paper's
+//! Whenever a thread needs a core, the event loop prices a
+//! [`Candidate`] for each core it may take and asks the policy to
+//! choose. A thread bound at arrival is offered its bound core alone,
+//! and only while that core is idle and power-feasible; any other
+//! thread is offered every idle, power-feasible core, in core order.
+//! The three shipped policies bracket the design space the paper's
 //! Figures 13/15 explore, at fleet scale:
 //!
 //! - [`StaticRandom`] — the no-affinity baseline: each thread is
@@ -66,13 +69,15 @@ pub trait SchedulerPolicy: Sync {
     /// Called once at thread arrival with every core that could ever
     /// run the thread alone under its chip's cap. A static policy
     /// returns the core to pin the thread to; dynamic policies return
-    /// `None`.
+    /// `None`. A thread bound at arrival is only ever offered its bound
+    /// core: [`SchedulerPolicy::choose`] sees it as the sole candidate
+    /// when it is idle and power-feasible, and is not called otherwise.
     fn bind_on_arrival(&self, _rng: &mut SmallRng, _eligible: &[u32]) -> Option<u32> {
         None
     }
 
-    /// Chooses among the idle feasible cores, or `None` to keep the
-    /// thread queued until the next scheduling opportunity.
+    /// Chooses among the offered candidates (never empty), or `None` to
+    /// keep the thread queued until the next scheduling opportunity.
     fn choose(&self, ctx: &PlacementCtx, candidates: &[Candidate]) -> Option<usize>;
 }
 

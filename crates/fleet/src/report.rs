@@ -48,6 +48,13 @@ pub struct PolicyReport {
     /// Max over chips of (peak observed active power / cap): `<= 1.0`
     /// in any correct run.
     pub max_cap_utilization: f64,
+    /// Placement iterations (one power-cap scan of a shard's cores
+    /// each), summed over shards.
+    pub dispatch_iterations: u64,
+    /// Candidates priced for the policy, summed over shards.
+    pub candidates_priced: u64,
+    /// Policy `choose` calls, summed over shards.
+    pub policy_calls: u64,
 }
 
 /// A full `fleet_bench` result: configuration echo plus one
@@ -124,6 +131,12 @@ impl FleetReport {
                     format!("{k}_max_cap_utilization"),
                     Real(p.max_cap_utilization),
                 ),
+                (
+                    format!("{k}_dispatch_iterations"),
+                    Count(p.dispatch_iterations),
+                ),
+                (format!("{k}_candidates_priced"), Count(p.candidates_priced)),
+                (format!("{k}_policy_calls"), Count(p.policy_calls)),
             ]);
         }
         if let Some(base) = self.policies.first() {
@@ -198,6 +211,9 @@ mod tests {
             migrations_total: 6,
             cap_blocked: 0,
             max_cap_utilization: 0.9,
+            dispatch_iterations: 30,
+            candidates_priced: 40,
+            policy_calls: 20,
         };
         let mut ma = p.clone();
         ma.policy = "migration-aware".into();

@@ -26,16 +26,25 @@
 //! # Scheduling
 //!
 //! At every arrival and segment completion the shard runs a dispatch
-//! pass: for up to [`FleetConfig::dispatch_window`] queued threads
-//! (FIFO order), it builds one [`Candidate`] per idle power-feasible
-//! core and asks the policy to choose. Each successful placement
-//! restarts the pass (power headroom changed); the pass ends when no
+//! pass of placement iterations. Each iteration scans the shard's
+//! cores once: the idle cores that fit their chip's cap headroom are
+//! the feasible set, and the idle cores that do not are counted as
+//! blocked. The cap check does not depend on the thread, so the scan
+//! serves every thread the iteration considers. Up to
+//! [`FleetConfig::dispatch_window`] queued threads (FIFO order) are
+//! then offered candidates in turn: a thread bound at arrival only its
+//! bound core, and only if that core is feasible; any other thread one
+//! [`Candidate`] per feasible core, in core order. Each thread
+//! considered adds the iteration's blocked count to
+//! [`ShardStats::cap_blocked`]. The first placement the policy makes
+//! ends the iteration (power headroom changed); the pass ends when no
 //! queued thread in the window can be placed.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use cisa_explore::{par_map, SweepRunner};
+use cisa_obs::LocalHist;
 use cisa_power::CLOCK_HZ;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -253,12 +262,20 @@ pub struct ShardStats {
     pub slowdowns: Vec<f64>,
     /// Migrations taken, by class index.
     pub migrations: [u64; 3],
-    /// Idle-core placements declined for lack of cap headroom.
+    /// Idle-core placements declined for lack of cap headroom: each
+    /// thread considered in a placement iteration counts every idle
+    /// core that iteration's cap scan blocked.
     pub cap_blocked: u64,
     /// Shard makespan (cycles).
     pub makespan: f64,
     /// Max over chips of peak observed active power / cap.
     pub max_cap_utilization: f64,
+    /// Placement iterations: one cap scan over the shard's cores each.
+    pub dispatch_iterations: u64,
+    /// [`Candidate`]s priced for the policy.
+    pub candidates_priced: u64,
+    /// Calls to [`SchedulerPolicy::choose`].
+    pub policy_calls: u64,
 }
 
 /// One shard's serial event loop.
@@ -274,8 +291,14 @@ struct Shard<'a> {
     heap: BinaryHeap<Event>,
     seq: u64,
     now: f64,
-    idle_cores: Vec<u32>,
+    /// Idle cores that fit their chip's cap headroom, as of the current
+    /// placement iteration's scan, in core order.
+    feasible_cores: Vec<u32>,
+    /// Per core: whether it is in `feasible_cores`.
+    feasible: Vec<bool>,
     cands: Vec<Candidate>,
+    queue_hist: LocalHist,
+    slowdown_hist: LocalHist,
     stats: ShardStats,
 }
 
@@ -321,6 +344,7 @@ impl<'a> Shard<'a> {
             mm,
             policy,
             cfg,
+            feasible: vec![false; cores.len()],
             cores,
             chips,
             threads: Vec::new(),
@@ -328,8 +352,10 @@ impl<'a> Shard<'a> {
             heap: BinaryHeap::new(),
             seq: 0,
             now: 0.0,
-            idle_cores: Vec::new(),
+            feasible_cores: Vec::new(),
             cands: Vec::new(),
+            queue_hist: LocalHist::new("fleet/queue_cycles"),
+            slowdown_hist: LocalHist::new("fleet/slowdown_centi"),
             stats: ShardStats {
                 arrivals: 0,
                 completed: 0,
@@ -344,6 +370,9 @@ impl<'a> Shard<'a> {
                 cap_blocked: 0,
                 makespan: 0.0,
                 max_cap_utilization: 0.0,
+                dispatch_iterations: 0,
+                candidates_priced: 0,
+                policy_calls: 0,
             },
         }
     }
@@ -362,19 +391,28 @@ impl<'a> Shard<'a> {
     /// One dispatch pass: place queued threads until no head-window
     /// thread can be placed.
     fn dispatch(&mut self) {
-        loop {
-            self.idle_cores.clear();
+        while !self.ready.is_empty() {
+            self.stats.dispatch_iterations += 1;
+            self.feasible_cores.clear();
+            let mut idle = 0u64;
             for (i, c) in self.cores.iter().enumerate() {
-                if c.busy.is_none() {
-                    self.idle_cores.push(i as u32);
+                let chip = &self.chips[c.chip as usize];
+                let is_idle = c.busy.is_none();
+                let fits = is_idle && chip.active_mw + c.peak_mw <= chip.cap_mw;
+                self.feasible[i] = fits;
+                if fits {
+                    self.feasible_cores.push(i as u32);
                 }
+                idle += u64::from(is_idle);
             }
-            if self.idle_cores.is_empty() || self.ready.is_empty() {
+            if idle == 0 {
                 return;
             }
+            let blocked = idle - self.feasible_cores.len() as u64;
             let window = self.cfg.dispatch_window.min(self.ready.len());
             let mut placed: Option<(usize, usize)> = None;
             for qi in 0..window {
+                self.stats.cap_blocked += blocked;
                 let tid = self.ready[qi];
                 if let Some(ci) = self.consider(tid) {
                     placed = Some((qi, ci));
@@ -388,46 +426,61 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Builds the candidate list for a thread (into `self.cands`) and
-    /// asks the policy. Returns the chosen candidate index.
+    /// Prices the offer for a thread into `self.cands` — its bound core
+    /// alone if it has one and that core is feasible, otherwise every
+    /// feasible core — and asks the policy. Returns the chosen
+    /// candidate index.
     fn consider(&mut self, tid: u32) -> Option<usize> {
         let thr = &self.threads[tid as usize];
         self.cands.clear();
-        for &core_idx in &self.idle_cores {
-            let core = &self.cores[core_idx as usize];
-            let chip = &self.chips[core.chip as usize];
-            if chip.active_mw + core.peak_mw > chip.cap_mw {
-                self.stats.cap_blocked += 1;
-                continue;
+        match thr.bound {
+            Some(b) => {
+                if self.feasible[b as usize] {
+                    let cand = self.price(thr, b);
+                    self.cands.push(cand);
+                }
             }
-            let design = &self.spec.core_designs[core.design as usize];
-            let (mig_class, mig_cycles) = if !thr.placed || thr.last_core == Some(core_idx) {
-                (None, 0.0)
-            } else {
-                let class = self
-                    .mm
-                    .class_for(&thr.workload, thr.compiled_fs, design.id.fs);
-                (Some(class), class_latency_cycles(class))
-            };
-            self.cands.push(Candidate {
-                core: core_idx,
-                design: core.design,
-                peak_w: design.peak_w,
-                cpu: design.cpu(&thr.workload),
-                epu: design.epu(&thr.workload),
-                mig_class,
-                mig_cycles,
-            });
+            None => {
+                for &core_idx in &self.feasible_cores {
+                    let cand = self.price(thr, core_idx);
+                    self.cands.push(cand);
+                }
+            }
         }
         if self.cands.is_empty() {
             return None;
         }
+        self.stats.candidates_priced += self.cands.len() as u64;
+        self.stats.policy_calls += 1;
         let remaining: f64 = thr.segments[thr.seg_idx as usize..].iter().sum();
         let ctx = PlacementCtx {
             remaining_work: remaining,
             bound_core: thr.bound,
         };
         self.policy.choose(&ctx, &self.cands)
+    }
+
+    /// The placement option of running `thr` next on core `core_idx`.
+    fn price(&self, thr: &Thr, core_idx: u32) -> Candidate {
+        let core = &self.cores[core_idx as usize];
+        let design = &self.spec.core_designs[core.design as usize];
+        let (mig_class, mig_cycles) = if !thr.placed || thr.last_core == Some(core_idx) {
+            (None, 0.0)
+        } else {
+            let class = self
+                .mm
+                .class_for(&thr.workload, thr.compiled_fs, design.id.fs);
+            (Some(class), class_latency_cycles(class))
+        };
+        Candidate {
+            core: core_idx,
+            design: core.design,
+            peak_w: design.peak_w,
+            cpu: design.cpu(&thr.workload),
+            epu: design.epu(&thr.workload),
+            mig_class,
+            mig_cycles,
+        }
     }
 
     /// Starts the thread's next segment on the chosen core.
@@ -452,7 +505,7 @@ impl<'a> Shard<'a> {
         thr.last_core = Some(cand.core);
         let wait = self.now - thr.ready_since;
         if wait > 0.0 {
-            cisa_obs::hist("fleet/queue_cycles", wait as u64);
+            self.queue_hist.record(wait as u64);
         }
         let service = work * cand.cpu + cand.mig_cycles;
         self.stats.service_scheduled += service;
@@ -493,7 +546,7 @@ impl<'a> Shard<'a> {
             let ideal = thr.executed * self.spec.best_cpu(&thr.workload);
             let slowdown = response / ideal;
             self.stats.slowdowns.push(slowdown);
-            cisa_obs::hist("fleet/slowdown_centi", (slowdown * 100.0) as u64);
+            self.slowdown_hist.record((slowdown * 100.0) as u64);
             // Free the per-thread segment storage; the slot stays (ids
             // are dense) but costs only the struct itself.
             thr.segments = Vec::new();
@@ -577,6 +630,8 @@ impl<'a> Shard<'a> {
             .iter()
             .map(|c| c.max_mw as f64 / c.cap_mw as f64)
             .fold(0.0, f64::max);
+        self.queue_hist.flush();
+        self.slowdown_hist.flush();
         self.stats
     }
 }
@@ -644,6 +699,9 @@ fn merge(policy: &str, outs: &[ShardStats]) -> PolicyReport {
     let mut response = 0.0f64;
     let mut migrations = [0u64; 3];
     let mut cap_blocked = 0u64;
+    let mut dispatch_iterations = 0u64;
+    let mut candidates_priced = 0u64;
+    let mut policy_calls = 0u64;
     let mut makespan = 0.0f64;
     let mut max_cap = 0.0f64;
     let mut slowdowns: Vec<f64> = Vec::new();
@@ -657,6 +715,9 @@ fn merge(policy: &str, outs: &[ShardStats]) -> PolicyReport {
             *m += v;
         }
         cap_blocked += s.cap_blocked;
+        dispatch_iterations += s.dispatch_iterations;
+        candidates_priced += s.candidates_priced;
+        policy_calls += s.policy_calls;
         makespan = makespan.max(s.makespan);
         max_cap = max_cap.max(s.max_cap_utilization);
         slowdowns.extend_from_slice(&s.slowdowns);
@@ -680,6 +741,9 @@ fn merge(policy: &str, outs: &[ShardStats]) -> PolicyReport {
     cisa_obs::counter("fleet/migrations/transforming", migrations[1]);
     cisa_obs::counter("fleet/migrations/state_transforming", migrations[2]);
     cisa_obs::counter("fleet/cap_blocked", cap_blocked);
+    cisa_obs::counter("fleet/dispatch_iterations", dispatch_iterations);
+    cisa_obs::counter("fleet/candidates_priced", candidates_priced);
+    cisa_obs::counter("fleet/policy_calls", policy_calls);
     PolicyReport {
         policy: policy.to_string(),
         arrivals,
@@ -702,5 +766,8 @@ fn merge(policy: &str, outs: &[ShardStats]) -> PolicyReport {
         migrations_total,
         cap_blocked,
         max_cap_utilization: max_cap,
+        dispatch_iterations,
+        candidates_priced,
+        policy_calls,
     }
 }

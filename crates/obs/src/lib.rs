@@ -97,6 +97,17 @@ impl Registry {
         buckets[bucket_of(value)] += 1;
     }
 
+    /// Adds a whole bucket array to the named log2 histogram in this
+    /// registry: what one [`Registry::add_hist`] per recorded value
+    /// would add.
+    fn add_hist_buckets(&self, name: &str, buckets: &[u64; HIST_BUCKETS]) {
+        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let dst = g.hists.entry(name.to_string()).or_insert([0; HIST_BUCKETS]);
+        for (d, &n) in dst.iter_mut().zip(buckets) {
+            *d += n;
+        }
+    }
+
     /// Records one closed span under `path` with `ns` elapsed
     /// nanoseconds in this registry.
     pub fn add_span(&self, path: &str, ns: u64) {
@@ -194,6 +205,43 @@ pub fn hist(name: &str, value: u64) {
         return;
     }
     global().add_hist(name, value);
+}
+
+/// A log2 histogram buffered by its owner, for per-event records in
+/// hot loops. [`LocalHist::record`] is a bucket increment with no lock
+/// or allocation; [`LocalHist::flush`] merges the buffer into the
+/// global registry under one lock. The global buckets end up exactly
+/// as one [`hist`] call per recorded value would leave them.
+#[derive(Debug)]
+pub struct LocalHist {
+    name: &'static str,
+    buckets: [u64; HIST_BUCKETS],
+}
+
+impl LocalHist {
+    /// An empty buffer for the histogram `name`.
+    pub const fn new(name: &'static str) -> Self {
+        LocalHist {
+            name,
+            buckets: [0; HIST_BUCKETS],
+        }
+    }
+
+    /// Buffers one observation of `value`.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.buckets[bucket_of(value)] += 1;
+    }
+
+    /// Merges the buffer into the global registry and empties it. A
+    /// buffer that recorded nothing leaves the registry untouched, as
+    /// no [`hist`] call would.
+    pub fn flush(&mut self) {
+        if enabled() && self.buckets.iter().any(|&n| n > 0) {
+            global().add_hist_buckets(self.name, &self.buckets);
+        }
+        self.buckets = [0; HIST_BUCKETS];
+    }
 }
 
 thread_local! {
@@ -494,6 +542,26 @@ mod tests {
         let b = s.hist_buckets("h").unwrap();
         assert_eq!(b[0], 1);
         assert_eq!(b[bucket_of(5)], 1);
+    }
+
+    #[test]
+    fn local_hist_flush_matches_per_value_hist() {
+        let _g = GLOBAL_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        reset();
+        set_enabled(true);
+        let values = [0, 1, 5, 5, 700, u64::MAX];
+        let mut local = LocalHist::new("local");
+        for v in values {
+            local.record(v);
+            hist("direct", v);
+        }
+        local.flush();
+        local.flush();
+        LocalHist::new("empty").flush();
+        let s = snapshot();
+        assert_eq!(s.hist_buckets("local"), s.hist_buckets("direct"));
+        assert_eq!(s.hist_total("local"), values.len() as u64);
+        assert_eq!(s.hist_buckets("empty"), None, "nothing recorded");
     }
 
     #[test]
