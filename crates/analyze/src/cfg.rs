@@ -63,7 +63,7 @@ impl Cfg {
 /// immediates for branch targets; `insts` the per-instruction facts
 /// (parallel arrays). Structural findings (bad targets, unreachable
 /// blocks) are appended to `findings`.
-pub fn recover_cfg(
+pub(crate) fn recover_cfg(
     spanned: &[SpannedInst],
     insts: &[InstFacts],
     stream_len: usize,

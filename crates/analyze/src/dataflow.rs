@@ -50,7 +50,7 @@ fn bit(r: u8) -> RegSet {
 }
 
 /// Runs every fixpoint. `insts` and `cfg` come from the same stream.
-pub fn run(insts: &[InstFacts], cfg: &Cfg) -> Dataflow {
+pub(crate) fn run(insts: &[InstFacts], cfg: &Cfg) -> Dataflow {
     let n = cfg.blocks.len();
     let mut df = Dataflow {
         residual: vec![FeatureNeeds::default(); n],

@@ -54,7 +54,7 @@ impl Default for FeatureNeeds {
 
 impl FeatureNeeds {
     /// Least upper bound: the needs of code containing both operands.
-    pub fn join(&mut self, other: &FeatureNeeds) {
+    pub(crate) fn join(&mut self, other: &FeatureNeeds) {
         self.depth = self.depth.max(other.depth);
         self.wide |= other.wide;
         self.pred |= other.pred;
@@ -70,7 +70,7 @@ impl FeatureNeeds {
     /// `compiled.covers(minimal)` for any feature set the code was
     /// legally encoded under, because the encoder enforced the same
     /// constraints per instruction.
-    pub fn minimal_feature_set(&self) -> FeatureSet {
+    pub(crate) fn minimal_feature_set(&self) -> FeatureSet {
         let complexity = if self.memop || self.vec {
             Complexity::X86
         } else {
@@ -98,7 +98,7 @@ impl FeatureNeeds {
 }
 
 /// Smallest register depth that can address register `index`.
-pub fn depth_for_reg(index: u8) -> RegisterDepth {
+pub(crate) fn depth_for_reg(index: u8) -> RegisterDepth {
     match index {
         0..=7 => RegisterDepth::D8,
         8..=15 => RegisterDepth::D16,
@@ -145,7 +145,7 @@ pub struct InstFacts {
 
 impl InstFacts {
     /// Extracts facts from one decoded instruction.
-    pub fn from_spanned(s: &SpannedInst) -> InstFacts {
+    pub(crate) fn from_spanned(s: &SpannedInst) -> InstFacts {
         let d = &s.inst;
         let mut uses: RegSet = 0;
         let mut def = None;

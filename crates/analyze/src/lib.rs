@@ -2,7 +2,7 @@
 //!
 //! Bytes in, facts out: no compiler IR crosses this boundary. The
 //! pipeline recovers a CFG from a raw instruction stream
-//! ([`cfg::recover_cfg`]), runs iterative dataflow over it
+//! (`cfg::recover_cfg`), runs iterative dataflow over it
 //! ([`dataflow`]: backward feature-liveness, forward wide-state,
 //! liveness and reaching definitions), and derives three products:
 //!

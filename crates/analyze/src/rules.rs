@@ -79,7 +79,7 @@ pub struct Finding {
 
 impl Finding {
     /// Builds a finding, deriving the severity from the rule name.
-    pub fn new(rule: &'static str, offset: Option<usize>, detail: String) -> Finding {
+    pub(crate) fn new(rule: &'static str, offset: Option<usize>, detail: String) -> Finding {
         Finding {
             rule,
             severity: severity_of(rule),

@@ -156,11 +156,6 @@ pub fn request(stream: &mut (impl Read + Write), method: &str, target: &str, bod
     status.expect("status line")
 }
 
-/// Formats a ratio as a percentage delta.
-pub fn pct(x: f64) -> String {
-    format!("{:+.1}%", (x - 1.0) * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,11 +171,5 @@ mod tests {
         assert_eq!(POWER_BUDGETS.len(), 4);
         assert_eq!(AREA_BUDGETS.len(), 4);
         assert!(matches!(SINGLE_THREAD_POWER_BUDGETS[0].1, Budget::PeakPower(p) if p == 5.0));
-    }
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(1.176), "+17.6%");
-        assert_eq!(pct(0.9), "-10.0%");
     }
 }

@@ -73,7 +73,7 @@ pub fn bench_config<F: FnMut()>(name: &str, target: Duration, samples: usize, f:
 }
 
 /// Formats a duration in seconds with an adaptive unit.
-pub fn fmt_secs(s: f64) -> String {
+pub(crate) fn fmt_secs(s: f64) -> String {
     if s >= 1.0 {
         format!("{s:.3} s")
     } else if s >= 1e-3 {

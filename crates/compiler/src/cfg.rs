@@ -91,12 +91,12 @@ impl Dominators {
 
     /// The immediate dominator of `b` (entry's idom is itself);
     /// `None` for unreachable blocks.
-    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
+    pub(crate) fn idom(&self, b: BlockId) -> Option<BlockId> {
         self.idom.get(b.idx()).copied().flatten()
     }
 
     /// Whether `a` dominates `b` (reflexive).
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
+    pub(crate) fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         let mut cur = b;
         loop {
             if cur == a {
@@ -110,12 +110,12 @@ impl Dominators {
     }
 
     /// Reverse postorder of the reachable blocks.
-    pub fn reverse_postorder(&self) -> &[BlockId] {
+    pub(crate) fn reverse_postorder(&self) -> &[BlockId] {
         &self.rpo
     }
 
     /// Whether `b` is reachable from the entry.
-    pub fn reachable(&self, b: BlockId) -> bool {
+    pub(crate) fn reachable(&self, b: BlockId) -> bool {
         self.idom(b).is_some()
     }
 }
@@ -142,11 +142,6 @@ impl NaturalLoop {
     /// Whether the loop body is empty (never: it contains the header).
     pub fn is_empty(&self) -> bool {
         self.body.is_empty()
-    }
-
-    /// Whether a block belongs to this loop.
-    pub fn contains(&self, b: BlockId) -> bool {
-        self.body.binary_search(&b).is_ok()
     }
 }
 
@@ -214,6 +209,14 @@ pub fn is_reducible(func: &IrFunction) -> bool {
         }
     }
     true
+}
+
+#[cfg(test)]
+impl NaturalLoop {
+    /// Whether a block belongs to this loop.
+    pub(crate) fn contains(&self, b: BlockId) -> bool {
+        self.body.binary_search(&b).is_ok()
+    }
 }
 
 #[cfg(test)]
@@ -318,7 +321,7 @@ mod tests {
         use super::super::*;
         use crate::ir::{BranchBehavior, IrBlock, Terminator};
 
-        pub fn all_phase_like() -> Vec<IrFunction> {
+        pub(crate) fn all_phase_like() -> Vec<IrFunction> {
             // Nested loop with an inner diamond, mirroring the
             // generator's shape.
             let mut f = IrFunction::new("shape");

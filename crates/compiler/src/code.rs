@@ -62,7 +62,7 @@ impl CodeStats {
     }
 
     /// Dynamic count for one micro-op kind.
-    pub fn uop(&self, kind: MicroOpKind) -> f64 {
+    pub(crate) fn uop(&self, kind: MicroOpKind) -> f64 {
         self.uops.get(&kind).copied().unwrap_or(0.0)
     }
 

@@ -167,9 +167,9 @@ pub fn compile(
 }
 
 /// Compiles one function for every one of the 26 feature sets, returning
-/// the results in [`FeatureSet::all`] order. Used by the design-space
-/// exploration.
-pub fn compile_all_feature_sets(
+/// the results in [`FeatureSet::all`] order.
+#[cfg(test)]
+pub(crate) fn compile_all_feature_sets(
     func: &IrFunction,
     options: &CompileOptions,
 ) -> Result<Vec<CompiledCode>, CompileError> {

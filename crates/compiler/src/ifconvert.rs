@@ -77,7 +77,7 @@ fn estimated_mispredict_rate(behavior: &crate::ir::BranchBehavior) -> f64 {
 ///
 /// Only call for targets with full predication support; the caller (the
 /// compile driver) guards on the feature set.
-pub fn if_convert(func: &mut IrFunction, config: &IfConvertConfig) -> IfConvertStats {
+pub(crate) fn if_convert(func: &mut IrFunction, config: &IfConvertConfig) -> IfConvertStats {
     let mut stats = IfConvertStats::default();
     let preds = func.predecessors();
 

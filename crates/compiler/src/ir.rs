@@ -81,7 +81,7 @@ impl AddrExpr {
     }
 
     /// Displacement size in bytes when encoded (0, 1, or 4).
-    pub fn disp_bytes(&self) -> u8 {
+    pub(crate) fn disp_bytes(&self) -> u8 {
         if self.disp == 0 {
             0
         } else if (-128..=127).contains(&self.disp) {
@@ -213,7 +213,7 @@ impl IrInst {
 
     /// Iterator over source virtual registers (including address
     /// components).
-    pub fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
+    pub(crate) fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
         [
             self.src1,
             self.src2,
@@ -226,12 +226,12 @@ impl IrInst {
     }
 
     /// The defined register, if any.
-    pub fn def(&self) -> Option<VReg> {
+    pub(crate) fn def(&self) -> Option<VReg> {
         (self.dst != Self::NONE).then_some(self.dst)
     }
 
     /// Whether this is a memory access.
-    pub fn is_mem(&self) -> bool {
+    pub(crate) fn is_mem(&self) -> bool {
         matches!(self.op, IrOp::Load { .. } | IrOp::Store { .. })
     }
 }
@@ -314,7 +314,7 @@ pub enum Terminator {
 
 impl Terminator {
     /// Successor block ids.
-    pub fn successors(&self) -> Vec<BlockId> {
+    pub(crate) fn successors(&self) -> Vec<BlockId> {
         match *self {
             Terminator::Branch {
                 taken, not_taken, ..
@@ -398,7 +398,7 @@ impl IrFunction {
     }
 
     /// Predecessor map (by block index).
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
+    pub(crate) fn predecessors(&self) -> Vec<Vec<BlockId>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
         for (i, b) in self.blocks.iter().enumerate() {
             for s in b.term.successors() {
@@ -406,14 +406,6 @@ impl IrFunction {
             }
         }
         preds
-    }
-
-    /// Total dynamic IR instruction count (profile-weighted).
-    pub fn dynamic_inst_count(&self) -> f64 {
-        self.blocks
-            .iter()
-            .map(|b| b.weight * (b.insts.len() as f64 + 1.0)) // +1 terminator
-            .sum()
     }
 
     /// Validates structural invariants: successor ids in range, every
@@ -551,13 +543,6 @@ mod tests {
         let s = IrInst::store(VReg(4), AddrExpr::base(VReg(5)), MemLocality::Stack);
         assert_eq!(s.uses().collect::<Vec<_>>(), vec![VReg(4), VReg(5)]);
         assert_eq!(s.def(), None);
-    }
-
-    #[test]
-    fn dynamic_count_weights_blocks() {
-        let f = tiny();
-        // bb0: 3 insts + term, weight 100; bb1: 0 + term, weight 1.
-        assert!((f.dynamic_inst_count() - (100.0 * 4.0 + 1.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub enum VOp {
 
 impl VOp {
     /// The register, if any.
-    pub fn reg(self) -> Option<VReg> {
+    pub(crate) fn reg(self) -> Option<VReg> {
         match self {
             VOp::Reg(r) => Some(r),
             _ => None,
@@ -66,16 +66,6 @@ impl VMem {
             index: addr.index,
             disp_bytes: addr.disp_bytes(),
             locality,
-        }
-    }
-
-    /// A spill-slot operand (frame-base addressed, disp8).
-    pub fn spill_slot() -> Self {
-        VMem {
-            base: None,
-            index: None,
-            disp_bytes: 1,
-            locality: MemLocality::Stack,
         }
     }
 }
@@ -121,7 +111,7 @@ impl VInst {
     }
 
     /// Source registers (including address components and predicate).
-    pub fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
+    pub(crate) fn uses(&self) -> impl Iterator<Item = VReg> + '_ {
         self.src1
             .reg()
             .into_iter()
@@ -132,12 +122,12 @@ impl VInst {
     }
 
     /// The defined register, if any.
-    pub fn def(&self) -> Option<VReg> {
+    pub(crate) fn def(&self) -> Option<VReg> {
         self.dst
     }
 
     /// Number of micro-ops this instruction decodes into.
-    pub fn uop_count(&self) -> usize {
+    pub(crate) fn uop_count(&self) -> usize {
         match self.opcode {
             MacroOpcode::Call | MacroOpcode::Ret => 2,
             MacroOpcode::Load | MacroOpcode::Store | MacroOpcode::Lea => 1,

@@ -16,8 +16,8 @@
 //! - **SIMD** — packed SSE2 compilation of vectorizable loops with a
 //!   scalarized fallback.
 //!
-//! The entry point is [`compile`]; [`compile_all_feature_sets`] produces
-//! the 26 variants the design-space exploration consumes.
+//! The entry point is [`compile`], called once per feature set to
+//! produce the 26 variants the design-space exploration consumes.
 
 #![warn(missing_docs)]
 
@@ -33,7 +33,7 @@ pub mod verify;
 
 pub use cfg::{is_reducible, natural_loops, Dominators, NaturalLoop};
 pub use code::{CodeStats, CompiledBlock, CompiledCode};
-pub use driver::{compile, compile_all_feature_sets, CompileError, CompileOptions};
+pub use driver::{compile, CompileError, CompileOptions};
 pub use ifconvert::{IfConvertConfig, IfConvertStats};
 pub use regalloc::RegAllocStats;
 pub use select_features::{select_feature_set, FeatureChoice};

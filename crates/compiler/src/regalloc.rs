@@ -28,7 +28,7 @@ use crate::ir::{Terminator, VReg};
 use crate::isel::{VBlock, VFunction, VInst, VOp};
 
 /// The stack-pointer register (x86's `rsp` is register 4).
-pub fn stack_pointer() -> ArchReg {
+pub(crate) fn stack_pointer() -> ArchReg {
     ArchReg::gpr(4)
 }
 

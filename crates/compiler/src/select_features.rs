@@ -48,7 +48,7 @@ impl FeatureChoice {
 /// Profile-weighted micro-ops dominate; spill traffic is charged extra
 /// (those loads hit the stack but still occupy pipeline slots and
 /// energy), and encoded size is weighted lightly (fetch pressure).
-pub fn static_cost(stats: &CodeStats) -> f64 {
+pub(crate) fn static_cost(stats: &CodeStats) -> f64 {
     let uops = stats.total_uops();
     let spill_traffic = stats.regalloc.dyn_spill_stores + stats.regalloc.dyn_refill_loads;
     let remat = stats.regalloc.dyn_remat_ops;

@@ -8,49 +8,7 @@
 //! pipeline path (and energy event) the macro-op took, and how many
 //! decode slots it consumed.
 
-use std::fmt;
-
-use cisa_isa::encoding::MAX_INST_LEN;
 use cisa_isa::Complexity;
-
-/// Errors the decode frontend can report for malformed fetch records.
-///
-/// The frontend is driven by trace records; a corrupted trace (zero
-/// or over-long instruction length, zero micro-op count) must surface
-/// as a value with the offending PC, not distort the activity counters
-/// or crash the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The record's encoded length is 0 or exceeds the architectural
-    /// maximum ([`MAX_INST_LEN`]).
-    BadLength {
-        /// Byte PC of the offending macro-op.
-        pc: u64,
-        /// The reported length.
-        len: u8,
-    },
-    /// The record claims a macro-op decoding into zero micro-ops.
-    ZeroUops {
-        /// Byte PC of the offending macro-op.
-        pc: u64,
-    },
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::BadLength { pc, len } => write!(
-                f,
-                "macro-op at pc {pc:#x} reports length {len} (legal: 1..={MAX_INST_LEN})"
-            ),
-            DecodeError::ZeroUops { pc } => {
-                write!(f, "macro-op at pc {pc:#x} reports zero micro-ops")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 /// Static description of one fetched macro-op, as the frontend sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,11 +194,6 @@ impl DecodeFrontend {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DecoderConfig {
-        &self.config
-    }
-
     /// Accumulated activity counters.
     pub fn stats(&self) -> &DecodeStats {
         &self.stats
@@ -288,27 +241,6 @@ impl DecodeFrontend {
         (source, slots)
     }
 
-    /// Like [`DecodeFrontend::supply`], but validates the record first.
-    ///
-    /// A record with an out-of-range length or a zero micro-op count is
-    /// rejected *before* it touches the micro-op cache or the activity
-    /// counters, so a corrupted trace leaves the frontend state exactly
-    /// as it was. Fault-injection sweeps use this entry point so a
-    /// poisoned trace record surfaces as a [`DecodeError`] naming the
-    /// offending PC instead of silently skewing the power model.
-    pub fn supply_checked(&mut self, rec: &MacroRecord) -> Result<(SupplySource, u8), DecodeError> {
-        if rec.len == 0 || rec.len as usize > MAX_INST_LEN {
-            return Err(DecodeError::BadLength {
-                pc: rec.pc,
-                len: rec.len,
-            });
-        }
-        if rec.uops == 0 {
-            return Err(DecodeError::ZeroUops { pc: rec.pc });
-        }
-        Ok(self.supply(rec))
-    }
-
     /// Supplies a batch of macro-ops in order, invoking `on_decode` for
     /// each record that missed the micro-op cache (and therefore
     /// engaged the legacy decode pipeline and the instruction fetch
@@ -335,12 +267,6 @@ impl DecodeFrontend {
             }
         }
         hits
-    }
-
-    /// Resets the activity counters (not the cache contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = DecodeStats::default();
-        self.prev_fusible = false;
     }
 }
 
@@ -449,50 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_reset() {
-        let mut fe = DecodeFrontend::new(DecoderConfig::for_complexity(Complexity::X86));
-        fe.supply(&rec(0, 2));
-        fe.reset_stats();
-        assert_eq!(*fe.stats(), DecodeStats::default());
-    }
-
-    #[test]
-    fn checked_supply_rejects_poisoned_records_without_side_effects() {
-        let mut fe = DecodeFrontend::new(DecoderConfig::for_complexity(Complexity::X86));
-        let before = *fe.stats();
-
-        let torn = MacroRecord {
-            len: 0,
-            ..rec(0x40, 1)
-        };
-        match fe.supply_checked(&torn) {
-            Err(DecodeError::BadLength { pc: 0x40, len: 0 }) => {}
-            other => panic!("expected BadLength, got {other:?}"),
-        }
-
-        let oversized = MacroRecord {
-            len: (MAX_INST_LEN + 1) as u8,
-            ..rec(0x80, 1)
-        };
-        assert!(matches!(
-            fe.supply_checked(&oversized),
-            Err(DecodeError::BadLength { pc: 0x80, .. })
-        ));
-
-        let hollow = rec(0xC0, 0);
-        assert_eq!(
-            fe.supply_checked(&hollow),
-            Err(DecodeError::ZeroUops { pc: 0xC0 })
-        );
-
-        assert_eq!(*fe.stats(), before, "rejected records must not count");
-
-        let (src, slots) = fe.supply_checked(&rec(0x100, 2)).expect("valid record");
-        assert_eq!(src, SupplySource::ComplexDecoder);
-        assert_eq!(slots, 2);
-    }
-
-    #[test]
     fn batch_supply_matches_per_record_supply() {
         // A stream with reuse (hits) and fresh windows (misses).
         let recs: Vec<MacroRecord> = (0..200u64)
@@ -515,19 +397,6 @@ mod tests {
         assert_eq!(*batch.stats(), *serial.stats());
         assert_eq!(hits, serial.stats().uop_cache_hits);
         assert_eq!(batch_decoded, serial_decoded, "on_decode fires per miss");
-    }
-
-    #[test]
-    fn decode_error_display_names_the_pc() {
-        let e = DecodeError::BadLength {
-            pc: 0x1234,
-            len: 18,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("0x1234"), "{msg}");
-        assert!(msg.contains("18"), "{msg}");
-        let z = DecodeError::ZeroUops { pc: 0x10 }.to_string();
-        assert!(z.contains("0x10"), "{z}");
     }
 
     #[test]

@@ -22,7 +22,5 @@
 pub mod engine;
 pub mod rtl;
 
-pub use engine::{
-    DecodeError, DecodeFrontend, DecodeStats, DecoderConfig, MacroRecord, SupplySource,
-};
+pub use engine::{DecodeFrontend, DecodeStats, DecoderConfig, MacroRecord, SupplySource};
 pub use rtl::{decoder_block, ild, DecoderRtl, IldRtl};

@@ -176,14 +176,6 @@ pub fn decoder_block(fs: &FeatureSet) -> DecoderRtl {
     }
 }
 
-/// Relative area/power of a feature set's decoder vs. the x86-64
-/// baseline decoder: `(power_ratio, area_ratio)`.
-pub fn decoder_deltas(fs: &FeatureSet) -> (f64, f64) {
-    let base = decoder_block(&FeatureSet::x86_64());
-    let d = decoder_block(fs);
-    (d.peak_power / base.peak_power, d.area / base.area)
-}
-
 /// The Section III bound: savings of the decode *engine* from excluding
 /// every instruction that decodes into more than one micro-op
 /// (complex decoder + MSROM replaced by one simple decoder), as
@@ -194,6 +186,15 @@ pub fn single_uop_engine_savings() -> (f64, f64) {
     let saved_area = COMPLEX_DECODER_AREA + MSROM_AREA - SIMPLE_DECODER_AREA;
     let saved_power = COMPLEX_DECODER_POWER + MSROM_POWER - SIMPLE_DECODER_POWER;
     (saved_power / engine_power, saved_area / engine_area)
+}
+
+/// Relative area/power of a feature set's decoder vs. the x86-64
+/// baseline decoder: `(power_ratio, area_ratio)`.
+#[cfg(test)]
+pub(crate) fn decoder_deltas(fs: &FeatureSet) -> (f64, f64) {
+    let base = decoder_block(&FeatureSet::x86_64());
+    let d = decoder_block(fs);
+    (d.peak_power / base.peak_power, d.area / base.area)
 }
 
 #[cfg(test)]

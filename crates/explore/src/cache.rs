@@ -152,13 +152,8 @@ impl ProfileCache {
         }
     }
 
-    /// The cache root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The content key of one (phase, feature set) probe.
-    pub fn key(spec: &PhaseSpec, fs: FeatureSet) -> u64 {
+    pub(crate) fn key(spec: &PhaseSpec, fs: FeatureSet) -> u64 {
         let ident = format!(
             "v{} uops={} seed={:#x} fs={} | {}",
             SCHEMA_VERSION,
@@ -223,7 +218,7 @@ impl ProfileCache {
     /// bytes, simulating a torn write (a crash between `write` and
     /// `rename` on a filesystem without atomic rename). Returns true
     /// if an entry existed and was torn.
-    pub fn tear_entry(&self, spec: &PhaseSpec, fs: FeatureSet, keep: usize) -> bool {
+    pub(crate) fn tear_entry(&self, spec: &PhaseSpec, fs: FeatureSet, keep: usize) -> bool {
         let path = self.path_for(Self::key(spec, fs));
         match std::fs::read(&path) {
             Ok(bytes) => {
@@ -327,6 +322,14 @@ impl ProfileCache {
             self.misses.load(Ordering::Relaxed),
             self.stores.load(Ordering::Relaxed),
         )
+    }
+}
+
+#[cfg(test)]
+impl ProfileCache {
+    /// The cache root directory.
+    pub(crate) fn dir(&self) -> &Path {
+        &self.dir
     }
 }
 

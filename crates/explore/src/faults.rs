@@ -154,7 +154,7 @@ impl FaultPlan {
     }
 
     /// The plan's replay seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
@@ -190,7 +190,7 @@ impl FaultPlan {
 
     /// True if stream corruption is enabled (callers skip the
     /// encode/decode round-trip entirely otherwise).
-    pub fn streams_enabled(&self) -> bool {
+    pub(crate) fn streams_enabled(&self) -> bool {
         self.stream_corruption_rate > 0.0
     }
 
@@ -212,16 +212,6 @@ impl FaultPlan {
         self
     }
 
-    /// True if no fault kind is enabled.
-    pub fn is_empty(&self) -> bool {
-        self.stream_corruption_rate == 0.0
-            && self.record_poison_rate == 0.0
-            && self.cache_tear_rate == 0.0
-            && self.panic_items.is_empty()
-            && self.store_io_error_rate == 0.0
-            && self.serve_panic_requests.is_empty()
-    }
-
     /// The decision RNG for one (domain, item, attempt) triple.
     fn rng(&self, domain: FaultDomain, index: usize, attempt: u32) -> SmallRng {
         let z = mix(self.seed ^ domain.tag())
@@ -231,7 +221,7 @@ impl FaultPlan {
     }
 
     /// Should the worker processing item `index` panic on `attempt`?
-    pub fn should_panic(&self, index: usize, attempt: u32) -> bool {
+    pub(crate) fn should_panic(&self, index: usize, attempt: u32) -> bool {
         attempt == 0 && self.panic_items.contains(&index)
     }
 
@@ -279,7 +269,7 @@ impl FaultPlan {
 
     /// Decides whether (and where) to tear a just-written cache entry
     /// of `len` bytes. Returns the byte count to keep, if tearing.
-    pub fn tear_cache_entry(&self, index: usize, len: usize) -> Option<usize> {
+    pub(crate) fn tear_cache_entry(&self, index: usize, len: usize) -> Option<usize> {
         if len == 0 || self.cache_tear_rate == 0.0 {
             return None;
         }
@@ -297,7 +287,7 @@ impl FaultPlan {
 
     /// Should disk operation `op_index` of the serving profile store
     /// fail with an injected I/O error?
-    pub fn store_io_fails(&self, op_index: usize) -> bool {
+    pub(crate) fn store_io_fails(&self, op_index: usize) -> bool {
         if self.store_io_error_rate == 0.0 {
             return false;
         }
@@ -396,7 +386,6 @@ mod tests {
     #[test]
     fn empty_plan_is_inert() {
         let plan = FaultPlan::new(0xDEAD);
-        assert!(plan.is_empty());
         let mut bytes = vec![1u8, 2, 3, 4];
         assert_eq!(plan.corrupt_stream(0, &mut bytes), None);
         assert_eq!(bytes, vec![1, 2, 3, 4]);
@@ -432,7 +421,6 @@ mod tests {
     #[test]
     fn serve_panics_fire_only_on_listed_requests() {
         let plan = FaultPlan::new(5).with_serve_panics(&[2, 9]);
-        assert!(!plan.is_empty());
         assert!(plan.should_panic_request(2));
         assert!(plan.should_panic_request(9));
         assert!(!plan.should_panic_request(3));

@@ -45,17 +45,6 @@ pub struct PhasePerf {
     pub energy_per_unit: f64,
 }
 
-impl PhasePerf {
-    /// Work per cycle (the speed metric used by schedulers).
-    pub fn speed(&self) -> f64 {
-        if self.cycles_per_unit > 0.0 {
-            1.0 / self.cycles_per_unit
-        } else {
-            0.0
-        }
-    }
-}
-
 use crate::space::l1_geo_idx as l1_idx;
 use crate::space::l2_geo_idx as l2_idx;
 
@@ -130,7 +119,7 @@ fn cycles_per_uop(p: &PhaseProfile, ua: &MicroArch) -> f64 {
 /// Fits the per-phase calibration parameters (`ilp`, `mem_overlap`,
 /// `io_stall_scale`) so the model reproduces the three reference cycle
 /// simulations.
-pub fn fit(p: &mut PhaseProfile) {
+pub(crate) fn fit(p: &mut PhaseProfile) {
     let ref_ooo = MicroArch {
         sem: ExecSemantics::OutOfOrder,
         width: 2,
@@ -586,15 +575,5 @@ mod tests {
         let e_little = evaluate(&p, little, &little.with_fs(FeatureSet::minimal())).energy_per_unit;
         let e_big = evaluate(&p, big, &big.with_fs(FeatureSet::minimal())).energy_per_unit;
         assert!(e_little < e_big, "little {e_little} vs big {e_big}");
-    }
-
-    #[test]
-    fn speed_is_reciprocal_of_time() {
-        let perf = PhasePerf {
-            cycles_per_unit: 4.0,
-            energy_per_unit: 1.0,
-        };
-        assert!((perf.speed() - 0.25).abs() < 1e-12);
-        assert_eq!(PhasePerf::default().speed(), 0.0);
     }
 }

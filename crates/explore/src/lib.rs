@@ -53,7 +53,7 @@ pub use profile::{
     PROBE_UOPS,
 };
 pub use runner::{par_map, par_map_isolated, threads, ItemError, SweepReport, SweepRunner};
-pub use space::{all_microarchs, l1_geo_idx, l2_geo_idx, DesignId, DesignSpace, MicroArch, UaSoa};
+pub use space::{all_microarchs, DesignId, DesignSpace, MicroArch, UaSoa};
 pub use store::{ShardedLru, ShardedProfileStore, StoreStats};
 pub use systems::{
     candidates, constrained_candidates, search_system, sensitivity_constraints, SystemKind,

@@ -81,7 +81,7 @@ pub enum Objective {
 impl Objective {
     /// Whether only one core is active at a time (dynamic multicore
     /// topology).
-    pub fn single_thread(self) -> bool {
+    pub(crate) fn single_thread(self) -> bool {
         matches!(self, Objective::SingleThread | Objective::SingleEdp)
     }
 }
@@ -205,7 +205,12 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Whether a 4-core chip fits a budget under an objective.
-    pub fn feasible(&self, cores: &[CoreChoice; 4], budget: Budget, objective: Objective) -> bool {
+    pub(crate) fn feasible(
+        &self,
+        cores: &[CoreChoice; 4],
+        budget: Budget,
+        objective: Objective,
+    ) -> bool {
         match budget {
             Budget::Unlimited => true,
             Budget::PeakPower(w) => {
@@ -224,7 +229,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Scores a multicore under an objective; higher is better.
-    pub fn score(&self, cores: &[CoreChoice; 4], objective: Objective) -> f64 {
+    pub(crate) fn score(&self, cores: &[CoreChoice; 4], objective: Objective) -> f64 {
         match objective {
             Objective::Throughput => self.throughput(cores),
             Objective::Edp => self.multi_edp_gain(cores),
@@ -260,7 +265,7 @@ impl<'a> Evaluator<'a> {
 
     /// Multiprogrammed EDP improvement over the reference homogeneous
     /// chip (higher is better).
-    pub fn multi_edp_gain(&self, cores: &[CoreChoice; 4]) -> f64 {
+    pub(crate) fn multi_edp_gain(&self, cores: &[CoreChoice; 4]) -> f64 {
         let ref_id = reference_design(self.space);
         let ref_cores = [CoreChoice::Composite(ref_id); 4];
         let ours = self.multi_edp_raw(cores);
@@ -269,7 +274,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Raw multiprogrammed EDP (energy x time, arbitrary units).
-    pub fn multi_edp_raw(&self, cores: &[CoreChoice; 4]) -> f64 {
+    pub(crate) fn multi_edp_raw(&self, cores: &[CoreChoice; 4]) -> f64 {
         let mut total_edp = 0.0;
         for combo in &self.combos {
             let mut energy = 0.0;
@@ -318,7 +323,7 @@ impl<'a> Evaluator<'a> {
     /// vendor ISAs pay binary translation and full state transformation
     /// (the paper's Figure 8 observation that Thumb <-> x86-64 moves are
     /// non-trivial).
-    pub fn migration_cycles(&self, from: &CoreChoice, to: &CoreChoice) -> f64 {
+    pub(crate) fn migration_cycles(&self, from: &CoreChoice, to: &CoreChoice) -> f64 {
         if from == to {
             return 0.0;
         }
@@ -333,7 +338,7 @@ impl<'a> Evaluator<'a> {
     /// every phase boundary where the best core changes. Each phase
     /// amortizes its migration over `SINGLE_THREAD_UNITS` units of work
     /// (SimPoint intervals are long).
-    pub fn single_thread_speedup(&self, cores: &[CoreChoice; 4]) -> f64 {
+    pub(crate) fn single_thread_speedup(&self, cores: &[CoreChoice; 4]) -> f64 {
         const SINGLE_THREAD_UNITS: f64 = 50.0;
         let mut total = 0.0;
         for phases in &self.bench_phases {
@@ -363,7 +368,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Single-thread EDP improvement over the reference core.
-    pub fn single_edp_gain(&self, cores: &[CoreChoice; 4]) -> f64 {
+    pub(crate) fn single_edp_gain(&self, cores: &[CoreChoice; 4]) -> f64 {
         let mut total = 0.0;
         for phases in &self.bench_phases {
             let mut e_ref = 0.0;
@@ -514,7 +519,7 @@ pub fn search(
 /// [`search`] with additional warm-start chips (used by the
 /// composite-ISA search to start from the best designs of its subset
 /// organizations, guaranteeing it never falls below them).
-pub fn search_with_seeds(
+pub(crate) fn search_with_seeds(
     eval: &Evaluator<'_>,
     candidates: &[CoreChoice],
     objective: Objective,

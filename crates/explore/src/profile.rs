@@ -161,7 +161,7 @@ pub fn probes_run() -> u64 {
 }
 
 /// Index of a micro-op class in [`PhaseProfile::mix`].
-pub fn mix_idx(kind: MicroOpKind) -> usize {
+pub(crate) fn mix_idx(kind: MicroOpKind) -> usize {
     match kind {
         MicroOpKind::Load => 0,
         MicroOpKind::Store => 1,
@@ -175,7 +175,7 @@ pub fn mix_idx(kind: MicroOpKind) -> usize {
 }
 
 /// Index of a predictor in [`PhaseProfile::mispredict_per_uop`].
-pub fn pred_idx(kind: PredictorKind) -> usize {
+pub(crate) fn pred_idx(kind: PredictorKind) -> usize {
     match kind {
         PredictorKind::TwoLevelLocal => 0,
         PredictorKind::Gshare => 1,
@@ -184,7 +184,7 @@ pub fn pred_idx(kind: PredictorKind) -> usize {
 }
 
 /// The reference out-of-order core used for calibration.
-pub fn reference_ooo(fs: FeatureSet) -> CoreConfig {
+pub(crate) fn reference_ooo(fs: FeatureSet) -> CoreConfig {
     CoreConfig {
         fs,
         sem: ExecSemantics::OutOfOrder,
@@ -200,7 +200,7 @@ pub fn reference_ooo(fs: FeatureSet) -> CoreConfig {
 }
 
 /// The large-window reference out-of-order core used for calibration.
-pub fn reference_ooo_large(fs: FeatureSet) -> CoreConfig {
+pub(crate) fn reference_ooo_large(fs: FeatureSet) -> CoreConfig {
     CoreConfig {
         window: WindowConfig::large(),
         ..reference_ooo(fs)
@@ -208,7 +208,7 @@ pub fn reference_ooo_large(fs: FeatureSet) -> CoreConfig {
 }
 
 /// The reference in-order core used for calibration.
-pub fn reference_io(fs: FeatureSet) -> CoreConfig {
+pub(crate) fn reference_io(fs: FeatureSet) -> CoreConfig {
     CoreConfig {
         fs,
         sem: ExecSemantics::InOrder,
@@ -284,7 +284,7 @@ impl StoreForwardTable {
 
     /// Micro-op index of the most recent resident store to `line`.
     #[inline]
-    pub fn last_store(&self, line: u64) -> Option<usize> {
+    pub(crate) fn last_store(&self, line: u64) -> Option<usize> {
         let depth = self.stores.min(FWD_WINDOW);
         for k in 1..=depth {
             let (l, idx) = self.slots[(self.stores - k) % FWD_WINDOW];

@@ -31,8 +31,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cisa_compiler::verify::{VerifyError, VerifyLevel};
-use cisa_compiler::{compile, CompileError, CompileOptions};
+use cisa_compiler::{compile, CompileOptions};
 use cisa_isa::encoding::InstLengthDecoder;
 use cisa_isa::inst::MachineInst;
 use cisa_isa::{Encoder, FeatureSet};
@@ -310,9 +309,6 @@ pub struct SweepRunner {
     n_threads: usize,
     cache: Option<ProfileCache>,
     faults: Option<FaultPlan>,
-    max_attempts: u32,
-    /// Run the staged verifier over the whole grid before probing.
-    preflight: bool,
     /// In-process probe dedup, keyed by (phase fingerprint, codegen
     /// fingerprint). Each cell is filled by exactly one probe;
     /// concurrent requests for the same key block on the same
@@ -324,8 +320,8 @@ pub struct SweepRunner {
 }
 
 impl SweepRunner {
-    /// Default retry budget: one retry, enough to absorb any transient
-    /// fault without masking persistent ones for long.
+    /// The retry budget of every runner: one retry, enough to absorb
+    /// any transient fault without masking persistent ones for long.
     pub const DEFAULT_MAX_ATTEMPTS: u32 = 2;
 
     /// A runner with an explicit thread count and no cache.
@@ -334,25 +330,15 @@ impl SweepRunner {
             n_threads: n_threads.max(1),
             cache: None,
             faults: None,
-            max_attempts: Self::DEFAULT_MAX_ATTEMPTS,
-            preflight: false,
             dedup: Mutex::new(HashMap::new()),
             dedup_hits: AtomicU64::new(0),
         }
     }
 
     /// The standard experiment runner: thread count from `CISA_THREADS`
-    /// (default: all cores), probe cache in `cache_dir`, and a grid
-    /// pre-flight when `CISA_PREFLIGHT` is set to `1`/`true`.
+    /// (default: all cores) and a probe cache in `cache_dir`.
     pub fn from_env(cache_dir: impl Into<PathBuf>) -> Self {
-        let mut runner = SweepRunner::new(threads()).with_cache(ProfileCache::new(cache_dir));
-        if matches!(
-            std::env::var("CISA_PREFLIGHT").as_deref(),
-            Ok("1") | Ok("true")
-        ) {
-            runner = runner.with_preflight();
-        }
-        runner
+        SweepRunner::new(threads()).with_cache(ProfileCache::new(cache_dir))
     }
 
     /// Attaches a probe cache.
@@ -361,22 +347,9 @@ impl SweepRunner {
         self
     }
 
-    /// Runs the staged verifier over every (phase, feature set) pair
-    /// before [`profile_grid`](Self::profile_grid) measures anything.
-    pub fn with_preflight(mut self) -> Self {
-        self.preflight = true;
-        self
-    }
-
     /// Attaches a fault-injection plan (robustness testing only).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Sets the per-item attempt budget for reported sweeps (min 1).
-    pub fn with_retries(mut self, max_attempts: u32) -> Self {
-        self.max_attempts = max_attempts.max(1);
         self
     }
 
@@ -390,14 +363,10 @@ impl SweepRunner {
         self.cache.as_ref()
     }
 
-    /// The attached fault plan, if any.
-    pub fn faults(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
-    /// The per-item attempt budget of reported sweeps.
+    /// The per-item attempt budget of reported sweeps
+    /// ([`DEFAULT_MAX_ATTEMPTS`](Self::DEFAULT_MAX_ATTEMPTS)).
     pub fn retries(&self) -> u32 {
-        self.max_attempts
+        Self::DEFAULT_MAX_ATTEMPTS
     }
 
     /// Probes answered from the in-process dedup map instead of a full
@@ -457,7 +426,7 @@ impl SweepRunner {
     /// may each be faulted according to the plan, surfacing as an
     /// `Err` (persistent faults) or an isolated panic the caller's
     /// retry absorbs (transient faults).
-    pub fn probe_checked(
+    pub(crate) fn probe_checked(
         &self,
         spec: &PhaseSpec,
         fs: FeatureSet,
@@ -535,90 +504,14 @@ impl SweepRunner {
         ))
     }
 
-    /// Pre-flight: compiles every (phase, feature set) pair with the
-    /// staged verifier at [`VerifyLevel::Full`] — IR/CFG, predication,
-    /// isel, regalloc and encoding checks after each pipeline phase —
-    /// before any probe measures anything. (The sixth pass, migration
-    /// safety, lives in `cisa_migrate::verify`, downstream of this
-    /// crate.)
-    ///
-    /// Returns the number of verified compiles, or every violation
-    /// found across the grid.
-    pub fn preflight(
-        &self,
-        phases: &[PhaseSpec],
-        feature_sets: &[FeatureSet],
-    ) -> Result<usize, Vec<VerifyError>> {
-        let options = CompileOptions {
-            verify: VerifyLevel::Full,
-            ..Default::default()
-        };
-        let pairs: Vec<(usize, usize)> = (0..phases.len())
-            .flat_map(|p| (0..feature_sets.len()).map(move |f| (p, f)))
-            .collect();
-        let violations: Vec<VerifyError> = par_map(&pairs, self.n_threads, |&(p, f)| {
-            match compile(&generate(&phases[p]), &feature_sets[f], &options) {
-                Ok(_) => Vec::new(),
-                Err(CompileError::Verify(v)) => v,
-                Err(CompileError::InvalidIr(msg)) => {
-                    // validate() is a subset of verify_ir's
-                    // structural rules, so the precise diagnostics
-                    // are recoverable from the IR itself.
-                    let mut v = cisa_compiler::verify::verify_ir(&generate(&phases[p]));
-                    if v.is_empty() {
-                        v.push(VerifyError {
-                            pass: cisa_compiler::VerifyPass::Ir,
-                            function: phases[p].name(),
-                            block: None,
-                            inst_index: None,
-                            rule: "empty-function",
-                            detail: msg,
-                        });
-                    }
-                    v
-                }
-            }
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        cisa_obs::counter("preflight/compiles", pairs.len() as u64);
-        if violations.is_empty() {
-            Ok(pairs.len())
-        } else {
-            cisa_obs::counter("preflight/violations", violations.len() as u64);
-            Err(violations)
-        }
-    }
-
     /// Probes the full `phases` x `feature_sets` grid in parallel.
     /// Output is row-major (`grid[p * feature_sets.len() + f]`) and
     /// identical at any thread count.
-    ///
-    /// With [`with_preflight`](Self::with_preflight) (or
-    /// `CISA_PREFLIGHT=1` via [`from_env`](Self::from_env)), the whole
-    /// grid is verified first and any violation aborts the sweep before
-    /// it produces a single number.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the formatted diagnostics if pre-flight verification
-    /// fails.
     pub fn profile_grid(
         &self,
         phases: &[PhaseSpec],
         feature_sets: &[FeatureSet],
     ) -> Vec<PhaseProfile> {
-        if self.preflight {
-            if let Err(violations) = self.preflight(phases, feature_sets) {
-                let listing: Vec<String> = violations.iter().map(|v| format!("  {v}")).collect();
-                panic!(
-                    "pre-flight verification failed with {} violation(s):\n{}",
-                    violations.len(),
-                    listing.join("\n")
-                );
-            }
-        }
         let pairs: Vec<(usize, usize)> = (0..phases.len())
             .flat_map(|p| (0..feature_sets.len()).map(move |f| (p, f)))
             .collect();
@@ -638,30 +531,6 @@ impl Default for SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preflight_verifies_real_phases_clean() {
-        let runner = SweepRunner::new(2);
-        let phases = cisa_workloads::all_phases();
-        let fss: Vec<FeatureSet> = vec![
-            FeatureSet::superset(),
-            "microx86-8D-32W".parse().expect("valid"),
-        ];
-        assert_eq!(runner.preflight(&phases[..2], &fss), Ok(4));
-    }
-
-    #[test]
-    fn preflighted_grid_still_probes() {
-        let phases = cisa_workloads::all_phases();
-        let fss = [FeatureSet::x86_64()];
-        let plain = SweepRunner::new(1).profile_grid(&phases[..1], &fss);
-        let checked = SweepRunner::new(1)
-            .with_preflight()
-            .profile_grid(&phases[..1], &fss);
-        assert_eq!(plain.len(), 1);
-        assert_eq!(plain[0].uops_per_unit, checked[0].uops_per_unit);
-        assert_eq!(plain[0].code_bytes, checked[0].code_bytes);
-    }
 
     #[test]
     fn par_map_preserves_order() {
@@ -778,14 +647,5 @@ mod tests {
             }
             x
         });
-    }
-
-    #[test]
-    fn runner_retry_budget_is_configurable() {
-        let r = SweepRunner::new(1).with_retries(0);
-        assert_eq!(r.retries(), 1, "budget is clamped to at least one try");
-        let r = SweepRunner::new(1).with_retries(5);
-        assert_eq!(r.retries(), 5);
-        assert!(r.faults().is_none());
     }
 }

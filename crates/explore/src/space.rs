@@ -128,13 +128,13 @@ pub fn all_microarchs() -> Vec<MicroArch> {
 
 /// Index of an L1 size into the per-geometry profile columns
 /// (`0` = 32KB, `1` = 64KB; see [`L1_OPTIONS`]).
-pub fn l1_geo_idx(l1_kb: u32) -> usize {
+pub(crate) fn l1_geo_idx(l1_kb: u32) -> usize {
     usize::from(l1_kb >= 64)
 }
 
 /// Index of an L2 slice size into the per-geometry profile columns
 /// (`0` = 1MB, `1` = 2MB; see [`L2_OPTIONS`]).
-pub fn l2_geo_idx(l2_kb: u32) -> usize {
+pub(crate) fn l2_geo_idx(l2_kb: u32) -> usize {
     usize::from(l2_kb >= 2048)
 }
 
@@ -172,7 +172,7 @@ pub struct UaSoa {
     /// semantics branch in the block evaluator is perfectly predicted).
     pub is_ooo: Vec<bool>,
     /// Branch-predictor index into the per-predictor mispredict column
-    /// (see [`pred_idx`](crate::profile::pred_idx)).
+    /// (see `profile::pred_idx`).
     pub pred: Vec<u8>,
     /// Combined cache-geometry index `l1_geo_idx * 2 + l2_geo_idx`, in
     /// `0..4`; the L1 index alone is `geo >> 1`.
@@ -189,7 +189,7 @@ pub struct UaSoa {
 
 impl UaSoa {
     /// Transposes a microarchitecture list into parallel columns.
-    pub fn build(uas: &[MicroArch]) -> Self {
+    pub(crate) fn build(uas: &[MicroArch]) -> Self {
         let n = uas.len();
         let mut soa = UaSoa {
             width: Vec::with_capacity(n),
@@ -234,13 +234,8 @@ impl UaSoa {
     }
 
     /// Number of design points in the columns.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.width.len()
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.width.is_empty()
     }
 }
 

@@ -127,16 +127,6 @@ impl<V: Clone> ShardedLru<V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// LRU evictions since creation.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
 }
 
 impl<V> std::fmt::Debug for ShardedLru<V> {
@@ -191,7 +181,7 @@ impl ShardedProfileStore {
     }
 
     /// A store with an explicit shard count and per-shard capacity.
-    pub fn with_geometry(
+    pub(crate) fn with_geometry(
         disk: Option<ProfileCache>,
         n_shards: usize,
         capacity_per_shard: usize,
@@ -208,7 +198,7 @@ impl ShardedProfileStore {
     }
 
     /// Installs a chaos [`FaultPlan`]: every disk-tier operation then
-    /// consults [`FaultPlan::store_io_fails`] and, when it fires,
+    /// consults `FaultPlan::store_io_fails` and, when it fires,
     /// behaves exactly like a real I/O error — a failed read degrades
     /// to a miss, a failed write is dropped (the memory tier still
     /// updates). Counted as `serve/resilience/store_io_error`.
@@ -276,11 +266,6 @@ impl ShardedProfileStore {
         }
     }
 
-    /// Entries resident in the memory tier.
-    pub fn resident(&self) -> usize {
-        self.mem.len()
-    }
-
     /// Cumulative hit/miss statistics since creation.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
@@ -289,9 +274,30 @@ impl ShardedProfileStore {
             misses: self.misses.load(Ordering::Relaxed),
         }
     }
+}
+
+#[cfg(test)]
+impl<V: Clone> ShardedLru<V> {
+    /// Number of shards.
+    pub(crate) fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// LRU evictions since creation.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+impl ShardedProfileStore {
+    /// Entries resident in the memory tier.
+    pub(crate) fn resident(&self) -> usize {
+        self.mem.len()
+    }
 
     /// The disk tier, if one is attached.
-    pub fn disk(&self) -> Option<&ProfileCache> {
+    pub(crate) fn disk(&self) -> Option<&ProfileCache> {
         self.disk.as_ref()
     }
 }

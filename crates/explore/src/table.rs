@@ -299,7 +299,7 @@ impl PerfTable {
     }
 
     /// Loads from disk; `None` on a missing file or format mismatch.
-    pub fn load(path: &Path) -> Option<Self> {
+    pub(crate) fn load(path: &Path) -> Option<Self> {
         let mut f = std::io::BufReader::new(std::fs::File::open(path).ok()?);
         let r64 = |f: &mut dyn Read| -> Option<u64> {
             let mut b = [0u8; 8];

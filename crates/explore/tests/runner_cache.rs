@@ -127,11 +127,11 @@ fn warm_cache_rerun_does_zero_probes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The ISSUE's acceptance scenario: a fault plan with 5% stream
-/// corruption and two forced worker panics. The table build must
-/// complete, report exactly the corrupted items, absorb the transient
-/// panics through retry, and keep every surviving row bit-identical
-/// to a fault-free build.
+/// A fault plan with 5% stream corruption, 5% record poisoning and two
+/// forced worker panics. The table build must complete, report exactly
+/// the corrupted and poisoned items, absorb the transient panics
+/// through retry, and keep every surviving row bit-identical to a
+/// fault-free build.
 #[test]
 fn faulted_table_build_degrades_gracefully_and_reports_exactly() {
     let _guard = PROBE_COUNTER.lock().unwrap();
@@ -144,9 +144,12 @@ fn faulted_table_build_degrades_gracefully_and_reports_exactly() {
     assert!(base_report.is_clean(), "{}", base_report.summary());
     assert_eq!(base_report.attempted, n_items);
 
-    // The corruption decision is per-index and content-independent, so
-    // the expected faulted set can be derived from the plan itself.
-    let plan = FaultPlan::new(0xFA_0715).with_stream_corruption(0.05);
+    // The corruption and poison decisions are per-index and
+    // content-independent, so the expected faulted set can be derived
+    // from the plan itself.
+    let plan = FaultPlan::new(0xFA_0715)
+        .with_stream_corruption(0.05)
+        .with_record_poison(0.05);
     let corrupted: Vec<usize> = (0..n_items)
         .filter(|&i| plan.corrupt_stream(i, &mut vec![0xA5u8; 16]).is_some())
         .collect();
@@ -154,20 +157,33 @@ fn faulted_table_build_degrades_gracefully_and_reports_exactly() {
         !corrupted.is_empty() && corrupted.len() <= n_items / 4,
         "seed must corrupt some but not most items: {corrupted:?}"
     );
-    // Force panics on two items the corruption leaves alone, so the
-    // two fault kinds exercise disjoint recovery paths.
+    // Poison is checked after the probe, so only items whose stream
+    // survived reach it; the seed must poison at least one of those.
+    let poisoned: Vec<usize> = (0..n_items)
+        .filter(|&i| plan.poison_record(i, &mut [0.0; 4]).is_some())
+        .collect();
+    assert!(
+        poisoned.iter().any(|i| !corrupted.contains(i)),
+        "seed must poison an item the stream check passes: {poisoned:?}"
+    );
+    // Both faults persist across retries: the failed set is their union.
+    let failed: Vec<usize> = (0..n_items)
+        .filter(|i| corrupted.contains(i) || poisoned.contains(i))
+        .collect();
+    // Force panics on two items no persistent fault touches, so the
+    // fault kinds exercise disjoint recovery paths.
     let panics: Vec<usize> = (0..n_items)
-        .filter(|i| !corrupted.contains(i))
+        .filter(|i| !failed.contains(i))
         .take(2)
         .collect();
     let runner = SweepRunner::new(2).with_faults(plan.with_forced_panics(&panics));
     let (faulted, report) = PerfTable::build(&space, &phases, &runner);
 
-    // Exact accounting: corrupted items fail after exhausting retries,
-    // panicked items retry once and succeed.
+    // Exact accounting: corrupted and poisoned items fail after
+    // exhausting retries, panicked items retry once and succeed.
     assert_eq!(report.attempted, n_items);
-    assert_eq!(report.failed_indices(), corrupted);
-    assert_eq!(report.retried, corrupted.len() + panics.len());
+    assert_eq!(report.failed_indices(), failed);
+    assert_eq!(report.retried, failed.len() + panics.len());
     for e in &report.failed {
         assert_eq!(e.attempts, runner.retries(), "{e}");
         assert!(e.message.contains("injected fault"), "{e}");
@@ -177,7 +193,7 @@ fn faulted_table_build_degrades_gracefully_and_reports_exactly() {
     // default, detectable by cycles_per_unit == 0.
     for pi in 0..phases.len() {
         for fi in 0..n_fs {
-            let failed = corrupted.contains(&(pi * n_fs + fi));
+            let failed = failed.contains(&(pi * n_fs + fi));
             for ua in 0..space.microarchs.len() as u16 {
                 let id = DesignId { fs: fi as u16, ua };
                 let (f, b) = (faulted.get(pi, id), base.get(pi, id));
@@ -191,6 +207,56 @@ fn faulted_table_build_degrades_gracefully_and_reports_exactly() {
             }
         }
     }
+}
+
+/// Torn cache writes: a runner that tears every entry it stores still
+/// builds a clean table (the tear lands after the probe), and a clean
+/// runner over the same directory reads every torn entry as a miss,
+/// re-probes it, and produces a table byte-identical to a cacheless
+/// build.
+#[test]
+fn torn_cache_entries_are_reprobed_byte_identically() {
+    let _guard = PROBE_COUNTER.lock().unwrap();
+    let phases: Vec<_> = all_phases().into_iter().take(1).collect();
+    let space = DesignSpace::new();
+    let n_items = (phases.len() * space.feature_sets.len()) as u64;
+    let dir = scratch("torn-cache");
+    let (base, _) = PerfTable::build(&space, &phases, &SweepRunner::new(2));
+
+    let tearing = SweepRunner::new(2)
+        .with_cache(ProfileCache::new(&dir))
+        .with_faults(FaultPlan::new(0x7EA2).with_cache_tearing(1.0));
+    let before = probes_run();
+    let (cold, report) = PerfTable::build(&space, &phases, &tearing);
+    let cold_probes = probes_run() - before;
+    assert!(report.is_clean(), "{}", report.summary());
+    assert_eq!(tearing.cache().unwrap().stats(), (0, n_items, n_items));
+
+    let warm_runner = SweepRunner::new(2).with_cache(ProfileCache::new(&dir));
+    let before = probes_run();
+    let (warm, report) = PerfTable::build(&space, &phases, &warm_runner);
+    assert!(report.is_clean(), "{}", report.summary());
+    assert_eq!(
+        warm_runner.cache().unwrap().stats(),
+        (0, n_items, n_items),
+        "every torn entry must read as a miss and be re-stored"
+    );
+    assert_eq!(
+        probes_run() - before,
+        cold_probes,
+        "every torn entry must be re-probed"
+    );
+
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, table) in [("base", &base), ("cold", &cold), ("warm", &warm)] {
+        table.save(&dir.join(format!("{name}.bin"))).unwrap();
+    }
+    let base_bytes = std::fs::read(dir.join("base.bin")).unwrap();
+    for name in ["cold", "warm"] {
+        let bytes = std::fs::read(dir.join(format!("{name}.bin"))).unwrap();
+        assert_eq!(bytes, base_bytes, "{name} table must match the base");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An armed-but-inert fault plan (no rates, no panic items) must leave

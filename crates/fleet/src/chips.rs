@@ -35,7 +35,7 @@ pub struct CoreDesign {
 impl CoreDesign {
     /// Cycles per unit of work for a (possibly blended) workload.
     #[inline]
-    pub fn cpu(&self, w: &Workload) -> f64 {
+    pub(crate) fn cpu(&self, w: &Workload) -> f64 {
         w.blend(
             self.perf[w.p1 as usize].cycles_per_unit,
             self.perf[w.p2 as usize].cycles_per_unit,
@@ -44,7 +44,7 @@ impl CoreDesign {
 
     /// Energy (J) per unit of work for a (possibly blended) workload.
     #[inline]
-    pub fn epu(&self, w: &Workload) -> f64 {
+    pub(crate) fn epu(&self, w: &Workload) -> f64 {
         w.blend(
             self.perf[w.p1 as usize].energy_per_unit,
             self.perf[w.p2 as usize].energy_per_unit,
@@ -182,19 +182,14 @@ impl FleetSpec {
     }
 
     /// Number of physical chips in the fleet.
-    pub fn n_chips(&self) -> usize {
+    pub(crate) fn n_chips(&self) -> usize {
         self.chips.len()
-    }
-
-    /// Number of physical cores in the fleet.
-    pub fn n_cores(&self) -> usize {
-        self.chips.len() * 4
     }
 
     /// The best (lowest) cycles-per-unit any fleet core design
     /// achieves for a workload — the unloaded-fleet ideal service
     /// rate that per-thread slowdowns are normalized against.
-    pub fn best_cpu(&self, w: &Workload) -> f64 {
+    pub(crate) fn best_cpu(&self, w: &Workload) -> f64 {
         self.core_designs
             .iter()
             .map(|c| c.cpu(w))
@@ -203,7 +198,7 @@ impl FleetSpec {
 
     /// Mean cycles-per-unit of one core design over the pure corpus
     /// phases (load-calibration proxy).
-    pub fn mean_cpu(&self, design: u16) -> f64 {
+    pub(crate) fn mean_cpu(&self, design: u16) -> f64 {
         let perf = &self.core_designs[design as usize].perf;
         perf.iter().map(|p| p.cycles_per_unit).sum::<f64>() / perf.len() as f64
     }

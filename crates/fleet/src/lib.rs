@@ -55,7 +55,7 @@ pub mod sim;
 pub mod workload;
 
 pub use chips::{ChipDesign, CoreDesign, FleetSpec};
-pub use migration::{class_latency_cycles, MigrationMatrix};
+pub use migration::MigrationMatrix;
 pub use policy::{AffinityGreedy, MigrationAware, SchedulerPolicy, StaticRandom};
 pub use report::{FleetReport, PolicyReport};
 pub use sim::{run_policies, simulate_fleet, simulate_shard, FleetConfig, ShardStats};

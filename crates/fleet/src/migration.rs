@@ -10,7 +10,7 @@
 //! analyzer ([`cisa_analyze::analyze`] over the phase's actual
 //! compiled bytes) proves a cheaper class at some program point.
 //! Second it converts the class to cycles with
-//! [`class_latency_cycles`].
+//! `class_latency_cycles`.
 //!
 //! The latencies are grounded in the heterogeneous-ISA migration
 //! measurements of Mavrogeorgis et al. (PAPERS.md): migrations that
@@ -57,7 +57,7 @@ pub const STATE_TRANSFORMING_MIGRATION_CYCLES: f64 = 9_000_000.0;
 pub const MIGRATION_POWER_FRACTION: f64 = 0.3;
 
 /// Latency in cycles of one migration of the given class.
-pub fn class_latency_cycles(class: MigrationClass) -> f64 {
+pub(crate) fn class_latency_cycles(class: MigrationClass) -> f64 {
     match class {
         MigrationClass::Native => NATIVE_MIGRATION_CYCLES,
         MigrationClass::Transforming => TRANSFORMING_MIGRATION_CYCLES,
@@ -138,7 +138,7 @@ impl MigrationMatrix {
     /// The class of migrating phase `phase` code compiled for feature
     /// set `from` onto a core implementing `to`.
     #[inline]
-    pub fn class(&self, phase: usize, from: u16, to: u16) -> MigrationClass {
+    pub(crate) fn class(&self, phase: usize, from: u16, to: u16) -> MigrationClass {
         let i = (phase * self.n_fs + from as usize) * self.n_fs + to as usize;
         MigrationClass::ALL[self.classes[i] as usize]
     }
@@ -148,7 +148,7 @@ impl MigrationMatrix {
     /// contains both phases' code, so the migration pays for the
     /// worse one.
     #[inline]
-    pub fn class_for(&self, w: &Workload, from: u16, to: u16) -> MigrationClass {
+    pub(crate) fn class_for(&self, w: &Workload, from: u16, to: u16) -> MigrationClass {
         let a = self.class(w.p1 as usize, from, to);
         if w.is_pure() {
             return a;

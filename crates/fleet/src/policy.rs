@@ -135,7 +135,7 @@ pub struct MigrationAware;
 impl MigrationAware {
     /// The scoring function: remaining-work EDP inclusive of the
     /// migration cost. Exposed for FLEET.md's worked example.
-    pub fn score(ctx: &PlacementCtx, c: &Candidate) -> f64 {
+    pub(crate) fn score(ctx: &PlacementCtx, c: &Candidate) -> f64 {
         let delay = ctx.remaining_work * c.cpu + c.mig_cycles;
         let mig_energy = c.mig_cycles / CLOCK_HZ * MIGRATION_POWER_FRACTION * c.peak_w;
         let energy = ctx.remaining_work * c.epu + mig_energy;

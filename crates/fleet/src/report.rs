@@ -78,11 +78,6 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// The report of a named policy, if it ran.
-    pub fn policy(&self, name: &str) -> Option<&PolicyReport> {
-        self.policies.iter().find(|p| p.policy == name)
-    }
-
     /// The report as flat `(key, value)` entries in a fixed order.
     /// Per-policy keys are prefixed with the policy name
     /// (`static_random_edp`), and the headline gains of every policy
@@ -175,6 +170,14 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     }
     let rank = (q * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+#[cfg(test)]
+impl FleetReport {
+    /// The report of a named policy, if it ran.
+    pub(crate) fn policy(&self, name: &str) -> Option<&PolicyReport> {
+        self.policies.iter().find(|p| p.policy == name)
+    }
 }
 
 #[cfg(test)]

@@ -72,7 +72,7 @@ pub struct FleetConfig {
     pub n_shards: usize,
     /// Offered load as a fraction of the fleet's stable capacity
     /// (`0 < utilization < 1`; the capacity model is documented on
-    /// [`FleetConfig::shard_rate`]).
+    /// `FleetConfig::shard_rate`).
     pub utilization: f64,
     /// Fraction of threads carrying a two-phase blended fingerprint.
     pub mix_fraction: f64,
@@ -104,7 +104,7 @@ impl Default for FleetConfig {
 
 impl FleetConfig {
     /// The arrival parameters shared by every shard.
-    pub fn arrival_params(&self, n_phases: u16) -> ArrivalParams {
+    pub(crate) fn arrival_params(&self, n_phases: u16) -> ArrivalParams {
         ArrivalParams {
             seed: self.seed,
             n_phases,
@@ -133,7 +133,7 @@ impl FleetConfig {
     /// binding keeps every core's queue stable (`n_cores / (mean_work
     /// x slowest mean_cpu)`), so the baseline policy saturates but
     /// does not diverge.
-    pub fn shard_rate(&self, spec: &FleetSpec, shard: usize, n_shards: usize) -> f64 {
+    pub(crate) fn shard_rate(&self, spec: &FleetSpec, shard: usize, n_shards: usize) -> f64 {
         let mean_work = self.arrival_params(spec.n_phases as u16).mean_thread_work();
         let mut unit_rate = 0.0f64;
         let mut n_cores = 0u64;

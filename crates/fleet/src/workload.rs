@@ -38,7 +38,7 @@ pub struct Workload {
 
 impl Workload {
     /// A pure corpus-phase workload.
-    pub fn pure(phase: u16) -> Self {
+    pub(crate) fn pure(phase: u16) -> Self {
         Workload {
             p1: phase,
             p2: phase,
@@ -47,13 +47,13 @@ impl Workload {
     }
 
     /// Whether this is a pure corpus phase (no synthetic blending).
-    pub fn is_pure(&self) -> bool {
+    pub(crate) fn is_pure(&self) -> bool {
         self.p1 == self.p2 || self.alpha >= 1.0
     }
 
     /// `alpha`-weighted blend of a per-phase quantity.
     #[inline]
-    pub fn blend(&self, v1: f64, v2: f64) -> f64 {
+    pub(crate) fn blend(&self, v1: f64, v2: f64) -> f64 {
         self.alpha * v1 + (1.0 - self.alpha) * v2
     }
 }
@@ -71,13 +71,6 @@ pub struct ThreadSpec {
     /// Work units per segment; the thread completes when every segment
     /// has executed. Segment boundaries are migration opportunities.
     pub segments: Vec<f64>,
-}
-
-impl ThreadSpec {
-    /// Total demanded work units over all segments.
-    pub fn total_work(&self) -> f64 {
-        self.segments.iter().sum()
-    }
 }
 
 /// Parameters of the arrival process (shared by every shard).
@@ -99,12 +92,12 @@ pub struct ArrivalParams {
 
 impl ArrivalParams {
     /// Mean segments per thread under the uniform segment-count draw.
-    pub fn mean_segments(&self) -> f64 {
+    pub(crate) fn mean_segments(&self) -> f64 {
         (1.0 + self.max_segments as f64) / 2.0
     }
 
     /// Mean work per segment under the log-uniform draw.
-    pub fn mean_segment_work(&self) -> f64 {
+    pub(crate) fn mean_segment_work(&self) -> f64 {
         if self.work_max <= self.work_min {
             return self.work_min;
         }
@@ -112,7 +105,7 @@ impl ArrivalParams {
     }
 
     /// Mean work per thread-lifetime.
-    pub fn mean_thread_work(&self) -> f64 {
+    pub(crate) fn mean_thread_work(&self) -> f64 {
         self.mean_segments() * self.mean_segment_work()
     }
 }
@@ -139,7 +132,7 @@ impl ArrivalStream {
     /// cycle. Thread ids start at `first_id` and advance by
     /// `id_stride`, so round-robin shard ownership yields globally
     /// unique ids. The RNG stream is private to `(params.seed, shard)`.
-    pub fn new(
+    pub(crate) fn new(
         params: ArrivalParams,
         shard: u64,
         first_id: u64,
@@ -218,6 +211,14 @@ impl Iterator for ArrivalStream {
         };
         self.next_id = self.next_id.wrapping_add(self.id_stride);
         Some(spec)
+    }
+}
+
+#[cfg(test)]
+impl ThreadSpec {
+    /// Total demanded work units over all segments.
+    pub(crate) fn total_work(&self) -> f64 {
+        self.segments.iter().sum()
     }
 }
 

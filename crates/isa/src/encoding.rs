@@ -227,11 +227,6 @@ impl Encoder {
         Encoder { fs }
     }
 
-    /// The feature set this encoder targets.
-    pub fn feature_set(&self) -> &FeatureSet {
-        &self.fs
-    }
-
     /// Encodes one instruction.
     ///
     /// # Errors

@@ -56,7 +56,7 @@ impl RegisterDepth {
 
     /// The depth that exposes `count` registers, if `count` is one of the
     /// supported options.
-    pub fn from_count(count: u32) -> Option<Self> {
+    pub(crate) fn from_count(count: u32) -> Option<Self> {
         Some(match count {
             8 => RegisterDepth::D8,
             16 => RegisterDepth::D16,
@@ -345,15 +345,6 @@ impl FeatureSet {
             gaps.push(DowngradeGap::Simd);
         }
         gaps
-    }
-
-    /// Number of *feature* dimensions where the two sets differ
-    /// (ignoring derived SIMD). Useful as a migration distance metric.
-    pub fn distance(self, other: &FeatureSet) -> u32 {
-        (self.complexity != other.complexity) as u32
-            + (self.width != other.width) as u32
-            + (self.depth != other.depth) as u32
-            + (self.predication != other.predication) as u32
     }
 
     /// Whether this feature set satisfies a search constraint.
@@ -678,14 +669,5 @@ mod tests {
         // depth 16: both widths, both predications, both complexities = 8
         assert_eq!(d16.len(), 8);
         assert!(all.iter().all(|fs| fs.satisfies(&FeatureConstraint::Any)));
-    }
-
-    #[test]
-    fn distance_metric() {
-        let a = FeatureSet::superset();
-        let b = FeatureSet::minimal();
-        assert_eq!(a.distance(&a), 0);
-        assert_eq!(a.distance(&b), 4);
-        assert_eq!(a.distance(&b), b.distance(&a));
     }
 }

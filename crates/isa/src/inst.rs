@@ -169,7 +169,7 @@ impl Operand {
     }
 
     /// Immediate byte width, or 0.
-    pub fn imm_bytes(self) -> u8 {
+    pub(crate) fn imm_bytes(self) -> u8 {
         match self {
             Operand::Imm(b) => b,
             _ => 0,
@@ -500,13 +500,6 @@ impl MachineInst {
             },
         }
     }
-
-    /// Whether the instruction performs any memory access (directly or
-    /// through its expansion).
-    pub fn touches_memory(&self) -> bool {
-        (self.mem.is_some() && self.opcode != MacroOpcode::Lea)
-            || matches!(self.opcode, MacroOpcode::Call | MacroOpcode::Ret)
-    }
 }
 
 impl fmt::Display for MachineInst {
@@ -593,7 +586,6 @@ mod tests {
             ..MachineInst::jump()
         };
         assert_eq!(ret.micro_ops().len(), 2);
-        assert!(call.touches_memory());
     }
 
     #[test]
@@ -681,9 +673,9 @@ mod tests {
     fn lea_is_pure_address_arithmetic() {
         // Regression: Lea is documented as "address computation without a
         // memory access", but its metadata used to treat the address
-        // operand as a real access (illegal under microx86, Load uop,
-        // touches_memory). All three views must agree it is a single ALU
-        // op that never touches memory.
+        // operand as a real access (illegal under microx86, Load uop).
+        // Both views must agree it is a single ALU op that never touches
+        // memory.
         let lea = MachineInst {
             opcode: MacroOpcode::Lea,
             dst: Some(r(1)),
@@ -695,7 +687,6 @@ mod tests {
             predicate: None,
         };
         assert!(lea.legal_under(&FeatureSet::minimal()), "legal on microx86");
-        assert!(!lea.touches_memory());
         let uops = lea.micro_ops();
         assert_eq!(uops.len(), 1);
         assert_eq!(uops[0].kind, MicroOpKind::IntAlu);

@@ -60,6 +60,6 @@ pub use feature_set::{
     RegisterWidth, SimdSupport, ViabilityError,
 };
 pub use inst::{AddressingMode, MachineInst, MacroOpcode, MemLocality, Operand};
-pub use regs::{ArchReg, RegClass, SubRegister};
+pub use regs::{ArchReg, RegClass};
 pub use uop::{MicroOp, MicroOpKind, UopClass};
 pub use vendor::{IsaModel, VendorIsa};

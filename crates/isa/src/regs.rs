@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::feature_set::{FeatureSet, RegisterDepth};
+use crate::feature_set::FeatureSet;
 
 /// Register class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -18,32 +18,6 @@ pub enum RegClass {
     /// SSE vector register (also used for fat-pointer emulation during
     /// width downgrades).
     Xmm,
-}
-
-/// Sub-register view of a GPR (Section III, "Register Width": compilers
-/// address sub-registers to enhance effective register depth).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SubRegister {
-    /// Low 8 bits (`al`-like).
-    Byte,
-    /// Low 16 bits (`ax`-like).
-    Word,
-    /// Low 32 bits (`eax`-like).
-    DoubleWord,
-    /// Full 64 bits (`rax`-like).
-    QuadWord,
-}
-
-impl SubRegister {
-    /// View width in bits.
-    pub fn bits(self) -> u32 {
-        match self {
-            SubRegister::Byte => 8,
-            SubRegister::Word => 16,
-            SubRegister::DoubleWord => 32,
-            SubRegister::QuadWord => 64,
-        }
-    }
 }
 
 /// An architectural register of the superset ISA.
@@ -76,25 +50,6 @@ impl ArchReg {
         }
     }
 
-    /// Creates an xmm register.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= 16`.
-    pub fn xmm(index: u8) -> Self {
-        assert!(index < Self::NUM_XMM, "xmm index {index} out of range");
-        ArchReg {
-            class: RegClass::Xmm,
-            index,
-        }
-    }
-
-    /// Register class.
-    #[inline]
-    pub fn class(self) -> RegClass {
-        self.class
-    }
-
     /// Register index within its class.
     #[inline]
     pub fn index(self) -> u8 {
@@ -111,27 +66,9 @@ impl ArchReg {
         }
     }
 
-    /// Number of *prefix* encoding bits this register costs beyond the 3
-    /// ModRM/SIB bits: 0 for registers 0..8 (legacy), 1 for 8..16 (REX),
-    /// 3 for 16..64 (REXBC adds 2 more on top of REX).
-    ///
-    /// The compiler's register allocator prioritizes low-cost registers
-    /// ("associate code density costs ... always prioritize the
-    /// allocation of a register that requires fewer prefix bits").
-    pub fn prefix_bit_cost(self) -> u32 {
-        match self.class {
-            RegClass::Xmm => 0,
-            RegClass::Gpr => match self.index {
-                0..=7 => 0,
-                8..=15 => 1,
-                _ => 3,
-            },
-        }
-    }
-
     /// The narrowest prefix tier that can encode this register:
     /// the legacy 3-bit field, the REX 4th bit, or the REXBC extension.
-    pub fn encoding_tier(self) -> EncodingTier {
+    pub(crate) fn encoding_tier(self) -> EncodingTier {
         match self.class {
             RegClass::Xmm => EncodingTier::Legacy,
             RegClass::Gpr => match self.index {
@@ -140,12 +77,6 @@ impl ArchReg {
                 _ => EncodingTier::Rexbc,
             },
         }
-    }
-
-    /// Iterator over the GPRs available at a given register depth, in
-    /// allocation-priority order (cheapest encoding first).
-    pub fn gprs_at_depth(depth: RegisterDepth) -> impl Iterator<Item = ArchReg> {
-        (0..depth.count() as u8).map(ArchReg::gpr)
     }
 }
 
@@ -170,19 +101,25 @@ impl fmt::Display for ArchReg {
 }
 
 #[cfg(test)]
+impl ArchReg {
+    /// Creates an xmm register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= 16`.
+    pub(crate) fn xmm(index: u8) -> Self {
+        assert!(index < Self::NUM_XMM, "xmm index {index} out of range");
+        ArchReg {
+            class: RegClass::Xmm,
+            index,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::feature_set::{Complexity, FeatureSet, Predication, RegisterWidth};
-
-    #[test]
-    fn prefix_cost_tiers() {
-        assert_eq!(ArchReg::gpr(0).prefix_bit_cost(), 0);
-        assert_eq!(ArchReg::gpr(7).prefix_bit_cost(), 0);
-        assert_eq!(ArchReg::gpr(8).prefix_bit_cost(), 1);
-        assert_eq!(ArchReg::gpr(15).prefix_bit_cost(), 1);
-        assert_eq!(ArchReg::gpr(16).prefix_bit_cost(), 3);
-        assert_eq!(ArchReg::gpr(63).prefix_bit_cost(), 3);
-    }
 
     #[test]
     fn encoding_tiers() {
@@ -215,14 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn gprs_at_depth_counts() {
-        use crate::RegisterDepth::*;
-        for (d, n) in [(D8, 8), (D16, 16), (D32, 32), (D64, 64)] {
-            assert_eq!(ArchReg::gprs_at_depth(d).count(), n);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn gpr_index_out_of_range_panics() {
         let _ = ArchReg::gpr(64);
@@ -232,13 +161,5 @@ mod tests {
     fn display_names() {
         assert_eq!(ArchReg::gpr(17).to_string(), "r17");
         assert_eq!(ArchReg::xmm(2).to_string(), "xmm2");
-    }
-
-    #[test]
-    fn subregister_widths() {
-        assert_eq!(SubRegister::Byte.bits(), 8);
-        assert_eq!(SubRegister::Word.bits(), 16);
-        assert_eq!(SubRegister::DoubleWord.bits(), 32);
-        assert_eq!(SubRegister::QuadWord.bits(), 64);
     }
 }

@@ -14,7 +14,7 @@
 //! decode-side consequences — no instruction-length decoder, one-step
 //! decoding, but wider code for the same instruction count.
 
-use crate::feature_set::{Complexity, FeatureSet, Predication, RegisterDepth};
+use crate::feature_set::{FeatureSet, Predication, RegisterDepth};
 use crate::inst::{MachineInst, MacroOpcode, MemRole};
 
 /// Encoding parameters of a RISC-V-style host.
@@ -35,23 +35,10 @@ impl RiscvHost {
         RiscvHost { compressed: false }
     }
 
-    /// Whether a feature set is expressible on this host.
-    ///
-    /// RISC-V base encodings have 5-bit register fields, so depth 64
-    /// needs a (hypothetical) extended-register prefix word; we allow it
-    /// but it costs a full extra 4-byte parcel (see
-    /// [`encoded_len`](Self::encoded_len)). Memory-operand compute forms
-    /// (x86 complexity) do not exist: RISC-V is load-store, so full
-    /// `Complexity::X86` feature sets lower every folded form back into
-    /// load-compute-store when re-hosted.
-    pub fn supports(&self, _fs: &FeatureSet) -> bool {
-        true
-    }
-
     /// Whether an instruction qualifies for a 2-byte compressed
     /// encoding: register-to-register ALU or short loads/stores using
     /// the 8 most popular registers, unpredicated, not wide-immediate.
-    pub fn compressible(&self, inst: &MachineInst) -> bool {
+    pub(crate) fn compressible(&self, inst: &MachineInst) -> bool {
         if !self.compressed || inst.predicate.is_some() {
             return false;
         }
@@ -80,7 +67,7 @@ impl RiscvHost {
     /// Full predication and registers beyond 31 each cost one extra
     /// prefix parcel (the host's analogue of REXBC / the predicate
     /// prefix).
-    pub fn parcels(&self, inst: &MachineInst, fs: &FeatureSet) -> u32 {
+    pub(crate) fn parcels(&self, inst: &MachineInst, fs: &FeatureSet) -> u32 {
         let base = match (inst.mem.is_some(), inst.opcode) {
             (true, MacroOpcode::Load | MacroOpcode::Store) => 1,
             (true, _) => match inst.mem_role {
@@ -100,7 +87,7 @@ impl RiscvHost {
     }
 
     /// Encoded length in bytes of one re-hosted macro-op.
-    pub fn encoded_len(&self, inst: &MachineInst, fs: &FeatureSet) -> u32 {
+    pub(crate) fn encoded_len(&self, inst: &MachineInst, fs: &FeatureSet) -> u32 {
         let parcels = self.parcels(inst, fs);
         if parcels == 1 && self.compressible(inst) {
             2
@@ -111,7 +98,7 @@ impl RiscvHost {
 
     /// Code-size ratio of this host vs. the x86 host for a compiled
     /// block: `(riscv_bytes, x86_bytes)`.
-    pub fn code_size_vs_x86(&self, insts: &[MachineInst], fs: &FeatureSet) -> (u64, u64) {
+    pub(crate) fn code_size_vs_x86(&self, insts: &[MachineInst], fs: &FeatureSet) -> (u64, u64) {
         let encoder = crate::Encoder::new(*fs);
         let mut rv = 0u64;
         let mut x86 = 0u64;
@@ -178,18 +165,6 @@ pub fn rehost(host: &RiscvHost, insts: &[MachineInst], fs: &FeatureSet) -> Rehos
         x86_insts: insts.len() as u64,
         compressed_fraction: compressed as f64 / riscv_insts.max(1) as f64,
     }
-}
-
-/// The complexity axis degenerates on a load-store host: report the
-/// nearest expressible feature set (x86 complexity folds away).
-pub fn nearest_feature_set(fs: &FeatureSet) -> FeatureSet {
-    FeatureSet::new(
-        Complexity::MicroX86,
-        fs.width(),
-        fs.depth(),
-        fs.predication(),
-    )
-    .unwrap_or_else(|_| FeatureSet::minimal())
 }
 
 #[cfg(test)]
@@ -321,12 +296,5 @@ mod tests {
         assert!(rep.riscv_bytes > 0 && rep.x86_bytes > 0);
         assert!(rep.compressed_fraction > 0.0);
         assert!(rep.density_ratio() > 0.3);
-    }
-
-    #[test]
-    fn nearest_feature_set_folds_complexity() {
-        let near = nearest_feature_set(&FeatureSet::superset());
-        assert_eq!(near.complexity(), Complexity::MicroX86);
-        assert_eq!(near.depth(), FeatureSet::superset().depth());
     }
 }

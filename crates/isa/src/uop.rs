@@ -141,7 +141,7 @@ impl MicroOp {
     pub const NO_REG: u8 = u8::MAX;
 
     /// A micro-op with no register operands.
-    pub fn bare(kind: MicroOpKind) -> Self {
+    pub(crate) fn bare(kind: MicroOpKind) -> Self {
         MicroOp {
             kind,
             dst: Self::NO_REG,
@@ -152,7 +152,7 @@ impl MicroOp {
     }
 
     /// A micro-op with the given destination and sources.
-    pub fn new(kind: MicroOpKind, dst: u8, src1: u8, src2: u8) -> Self {
+    pub(crate) fn new(kind: MicroOpKind, dst: u8, src1: u8, src2: u8) -> Self {
         MicroOp {
             kind,
             dst,
@@ -163,22 +163,9 @@ impl MicroOp {
     }
 
     /// Returns this micro-op with a predicate register attached.
-    pub fn predicated(mut self, pred: u8) -> Self {
+    pub(crate) fn predicated(mut self, pred: u8) -> Self {
         self.pred = pred;
         self
-    }
-
-    /// Iterator over the valid source register slots (including the
-    /// predicate register, which must be read before the op retires).
-    pub fn sources(&self) -> impl Iterator<Item = u8> + '_ {
-        [self.src1, self.src2, self.pred]
-            .into_iter()
-            .filter(|&r| r != Self::NO_REG)
-    }
-
-    /// Whether the micro-op writes a register.
-    pub fn writes_reg(&self) -> bool {
-        self.dst != Self::NO_REG
     }
 }
 
@@ -208,15 +195,5 @@ mod tests {
         assert!(MicroOpKind::Branch.is_control());
         assert!(MicroOpKind::Jump.is_control());
         assert!(!MicroOpKind::Store.is_control());
-    }
-
-    #[test]
-    fn sources_skip_empty_slots() {
-        let op = MicroOp::new(MicroOpKind::IntAlu, 1, 2, MicroOp::NO_REG);
-        assert_eq!(op.sources().collect::<Vec<_>>(), vec![2]);
-        let p = op.predicated(5);
-        assert_eq!(p.sources().collect::<Vec<_>>(), vec![2, 5]);
-        assert!(p.writes_reg());
-        assert!(!MicroOp::bare(MicroOpKind::Jump).writes_reg());
     }
 }

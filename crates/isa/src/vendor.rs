@@ -158,15 +158,6 @@ pub struct IsaModel {
     pub fp_regs: u32,
 }
 
-impl IsaModel {
-    /// The closest composite feature set to this model (exact for the
-    /// x86-ized sets; best-effort for vendor ISAs).
-    pub fn nearest_feature_set(&self) -> FeatureSet {
-        FeatureSet::new(self.complexity, self.width, self.depth, self.predication)
-            .unwrap_or_else(|_| FeatureSet::minimal())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,14 +190,6 @@ mod tests {
         assert!(VendorIsa::Thumb.model().fixed_length);
         assert!(VendorIsa::Alpha.model().fixed_length);
         assert!(!VendorIsa::X86_64.model().fixed_length);
-    }
-
-    #[test]
-    fn nearest_feature_set_is_viable() {
-        for v in VendorIsa::ALL {
-            let fs = v.model().nearest_feature_set();
-            assert_eq!(fs, v.x86ized());
-        }
     }
 
     #[test]

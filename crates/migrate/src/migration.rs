@@ -118,7 +118,7 @@ impl<'a> MigrationSim<'a> {
     /// The binary's compiled feature set for one benchmark: the most
     /// common per-phase preference on this multicore (the paper
     /// compiles one binary with the most common feature selection).
-    pub fn binary_feature_set(&self, bench: usize, cores: &[CoreChoice; 4]) -> FeatureSet {
+    pub(crate) fn binary_feature_set(&self, bench: usize, cores: &[CoreChoice; 4]) -> FeatureSet {
         let mut votes: HashMap<FeatureSet, u32> = HashMap::new();
         for &p in &self.eval.bench_phases[bench] {
             let best = cores

@@ -130,26 +130,13 @@ impl MigrationPointMap {
     /// code compiled for `compiled_for` onto `target`, or `None` when
     /// the map is empty (no static evidence — callers fall back to the
     /// conservative class).
-    pub fn best_class(
+    pub(crate) fn best_class(
         &self,
         compiled_for: FeatureSet,
         target: FeatureSet,
     ) -> Option<MigrationClass> {
         let gaps = target.downgrade_gaps(&compiled_for);
         self.points.iter().map(|p| p.class_for(&gaps)).min()
-    }
-
-    /// The cheapest candidate point itself, paired with its class.
-    pub fn best_point(
-        &self,
-        compiled_for: FeatureSet,
-        target: FeatureSet,
-    ) -> Option<(&MigrationPoint, MigrationClass)> {
-        let gaps = target.downgrade_gaps(&compiled_for);
-        self.points
-            .iter()
-            .map(|p| (p, p.class_for(&gaps)))
-            .min_by_key(|&(p, c)| (c, p.offset))
     }
 }
 
@@ -273,19 +260,5 @@ mod tests {
             classify_migration_with(from, to, Some(&map)).class,
             MigrationClass::StateTransforming
         );
-    }
-
-    #[test]
-    fn best_point_picks_cheapest_then_lowest_offset() {
-        let from = FeatureSet::superset();
-        let to = FeatureSet::minimal();
-        let mut costly = point(0);
-        costly.needs_vec = true;
-        let map = MigrationPointMap {
-            points: vec![costly, point(8), point(12)],
-        };
-        let (best, class) = map.best_point(from, to).expect("non-empty map");
-        assert_eq!(best.offset, 8);
-        assert_eq!(class, MigrationClass::Native);
     }
 }

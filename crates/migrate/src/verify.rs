@@ -5,19 +5,17 @@
 //! encoding round-trip) live in [`cisa_compiler::verify`] so the driver
 //! can run them after every phase. This module adds the one pass that
 //! needs the downgrade machinery — **migration safety** — and composes
-//! all six into a workload-suite pre-flight:
+//! all six into one whole-grid sweep:
 //!
-//! - [`verify_migration`] checks that every feature gap
-//!   [`FeatureSet::downgrade_gaps`] claims emulable really is: after
-//!   [`emulate`], no instruction still exercises the downgraded
+//! - [`check_emulation`] checks one downgrade: every feature gap
+//!   [`FeatureSet::downgrade_gaps`] claims emulable really is, so after
+//!   [`emulate`] no instruction still exercises the downgraded
 //!   dimension (rules in [`MIGRATION_RULES`]).
-//! - [`verify_phase`] compiles one workload phase for one feature set
-//!   with [`VerifyLevel::Full`] and then checks emulation against every
-//!   migration target.
-//! - [`verify_suite`] sweeps phases × feature sets and aggregates a
-//!   [`VerifyReport`]; the `verify_all` binary runs it over all 49
-//!   workload phases × 26 feature sets and exits nonzero on any
-//!   diagnostic (the CI `verify` job).
+//! - [`verify_suite`] compiles every phase for every feature set with
+//!   [`VerifyLevel::Full`], emulates each result down to every other
+//!   feature set, and aggregates a [`VerifyReport`]. The `verify_all`
+//!   binary runs it over all 49 workload phases × 26 feature sets and
+//!   exits nonzero on any diagnostic (the CI `verify` job).
 //!
 //! Every rule here and in [`cisa_compiler::verify::RULES`] has a
 //! dedicated firing test in `tests/mutation_rules.rs`.
@@ -25,6 +23,7 @@
 pub use cisa_compiler::verify::{VerifyError, VerifyLevel, VerifyPass};
 
 use cisa_compiler::{compile, CompileError, CompileOptions, CompiledCode};
+use cisa_explore::{par_map, threads};
 use cisa_isa::inst::MacroOpcode;
 use cisa_isa::{Complexity, FeatureSet, Predication, RegisterWidth, SimdSupport};
 use cisa_workloads::{generate, PhaseSpec};
@@ -163,7 +162,7 @@ pub fn check_emulation(
 /// checks each outcome with [`check_emulation`]. Targets that cover the
 /// code's feature set exercise the zero-transform upgrade path and must
 /// verify trivially.
-pub fn verify_migration(code: &CompiledCode, targets: &[FeatureSet]) -> Vec<VerifyError> {
+pub(crate) fn verify_migration(code: &CompiledCode, targets: &[FeatureSet]) -> Vec<VerifyError> {
     targets
         .iter()
         .flat_map(|t| check_emulation(emulate(code, t), t, &code.name))
@@ -173,7 +172,7 @@ pub fn verify_migration(code: &CompiledCode, targets: &[FeatureSet]) -> Vec<Veri
 /// Runs the full six-pass suite for one workload phase and one feature
 /// set: a [`VerifyLevel::Full`] compile (passes 1–5 after each pipeline
 /// phase) followed by migration safety against `targets`.
-pub fn verify_phase(spec: &PhaseSpec, fs: &FeatureSet, targets: &[FeatureSet]) -> Vec<VerifyError> {
+fn verify_phase(spec: &PhaseSpec, fs: &FeatureSet, targets: &[FeatureSet]) -> Vec<VerifyError> {
     let func = generate(spec);
     let options = CompileOptions {
         verify: VerifyLevel::Full,
@@ -201,7 +200,7 @@ pub fn verify_phase(spec: &PhaseSpec, fs: &FeatureSet, targets: &[FeatureSet]) -
     }
 }
 
-/// The aggregate outcome of a suite pre-flight.
+/// The aggregate outcome of a [`verify_suite`] run.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
     /// Workload phases checked.
@@ -224,19 +223,24 @@ impl VerifyReport {
 /// Verifies every phase × feature-set combination, using the same
 /// feature sets as migration targets. The `verify_all` binary (and the
 /// CI `verify` job) runs this over all phases and all 26 feature sets.
+///
+/// The grid runs on the shared [`cisa_explore::par_map`] pool
+/// ([`cisa_explore::threads`] workers, so `CISA_THREADS` bounds it);
+/// the report is identical at any thread count.
 pub fn verify_suite(phases: &[PhaseSpec], feature_sets: &[FeatureSet]) -> VerifyReport {
-    let mut report = VerifyReport {
+    let pairs: Vec<(&PhaseSpec, &FeatureSet)> = phases
+        .iter()
+        .flat_map(|spec| feature_sets.iter().map(move |fs| (spec, fs)))
+        .collect();
+    let errors = par_map(&pairs, threads(), |&(spec, fs)| {
+        verify_phase(spec, fs, feature_sets)
+    });
+    VerifyReport {
         phases: phases.len(),
         feature_sets: feature_sets.len(),
-        ..Default::default()
-    };
-    for spec in phases {
-        for fs in feature_sets {
-            report.migration_pairs += feature_sets.len();
-            report.errors.extend(verify_phase(spec, fs, feature_sets));
-        }
+        migration_pairs: pairs.len() * feature_sets.len(),
+        errors: errors.into_iter().flatten().collect(),
     }
-    report
 }
 
 #[cfg(test)]

@@ -128,7 +128,7 @@ impl Registry {
     }
 
     /// Clears every counter, histogram, and span aggregate.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         *g = Inner::default();
     }
@@ -373,11 +373,6 @@ impl Snapshot {
         self.hists.get(name).map(|b| b.iter().sum()).unwrap_or(0)
     }
 
-    /// The named histogram's bucket array, if it has any observations.
-    pub fn hist_buckets(&self, name: &str) -> Option<&[u64; HIST_BUCKETS]> {
-        self.hists.get(name)
-    }
-
     /// Iterates `(name, buckets)` over all histograms in sorted order.
     pub fn hists(&self) -> impl Iterator<Item = (&str, &[u64; HIST_BUCKETS])> {
         self.hists.iter().map(|(k, v)| (k.as_str(), v))
@@ -508,6 +503,14 @@ fn push_json_string(out: &mut String, s: &str) {
 fn push_json_key(out: &mut String, k: &str) {
     push_json_string(out, k);
     out.push(':');
+}
+
+#[cfg(test)]
+impl Snapshot {
+    /// The named histogram's bucket array, if it has any observations.
+    pub(crate) fn hist_buckets(&self, name: &str) -> Option<&[u64; HIST_BUCKETS]> {
+        self.hists.get(name)
+    }
 }
 
 #[cfg(test)]

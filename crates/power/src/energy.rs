@@ -63,26 +63,6 @@ pub struct EnergyReport {
     pub seconds: f64,
 }
 
-impl EnergyReport {
-    /// Energy-delay product (J*s).
-    pub fn edp(&self) -> f64 {
-        self.total_j * self.seconds
-    }
-
-    /// Named dynamic components (Figure 11 categories).
-    pub fn named(&self) -> [(&'static str, f64); 7] {
-        [
-            ("fetch", self.fetch_j),
-            ("decode", self.decode_j),
-            ("bpred", self.bpred_j),
-            ("scheduler", self.scheduler_j),
-            ("regfile", self.regfile_j),
-            ("fu", self.fu_j),
-            ("mem", self.mem_j),
-        ]
-    }
-}
-
 /// Structure-size scale factors relative to the reference core,
 /// precomputed once per design point.
 ///
@@ -109,7 +89,7 @@ pub struct EnergyScales {
 
 impl EnergyScales {
     /// Derives the scale factors for one core configuration.
-    pub fn for_config(cfg: &CoreConfig) -> Self {
+    pub(crate) fn for_config(cfg: &CoreConfig) -> Self {
         EnergyScales {
             rf: (cfg.window.prf_int + cfg.window.prf_fp) as f64 / 160.0,
             sched: (cfg.window.iq + cfg.window.rob) as f64 / 96.0,
@@ -130,7 +110,7 @@ pub fn energy(cfg: &CoreConfig, result: &SimResult) -> EnergyReport {
 /// scale factors and a cached peak-power figure.
 ///
 /// This is the single arithmetic path behind [`energy()`]; callers who
-/// hoist [`EnergyScales::for_config`] and `core_budget` out of a loop
+/// hoist `EnergyScales::for_config` and `core_budget` out of a loop
 /// get bit-identical totals by construction.
 pub fn energy_scaled(peak_power_w: f64, scales: &EnergyScales, result: &SimResult) -> EnergyReport {
     let a: &Activity = &result.activity;
@@ -182,6 +162,22 @@ pub fn energy_scaled(peak_power_w: f64, scales: &EnergyScales, result: &SimResul
         mem_j,
         static_j,
         seconds,
+    }
+}
+
+#[cfg(test)]
+impl EnergyReport {
+    /// Named dynamic components (Figure 11 categories).
+    pub(crate) fn named(&self) -> [(&'static str, f64); 7] {
+        [
+            ("fetch", self.fetch_j),
+            ("decode", self.decode_j),
+            ("bpred", self.bpred_j),
+            ("scheduler", self.scheduler_j),
+            ("regfile", self.regfile_j),
+            ("fu", self.fu_j),
+            ("mem", self.mem_j),
+        ]
     }
 }
 
@@ -255,13 +251,6 @@ mod tests {
             little.total_j,
             big.total_j
         );
-    }
-
-    #[test]
-    fn edp_combines_energy_and_delay() {
-        let cfg = CoreConfig::reference(FeatureSet::x86_64());
-        let (_, e) = run("mcf", &cfg);
-        assert!((e.edp() - e.total_j * e.seconds).abs() < 1e-18);
     }
 
     #[test]

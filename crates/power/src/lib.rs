@@ -2,8 +2,8 @@
 //!
 //! Per-structure area and peak-power budgets for every core design
 //! point ([`core_budget`]), chip-level shared-L2 budgeting
-//! ([`l2_cost`]), and energy accounting from the simulator's activity
-//! counters ([`energy()`]), including EDP. Calibrated to the paper's
+//! (`l2_cost`), and energy accounting from the simulator's activity
+//! counters ([`energy()`]). Calibrated to the paper's
 //! envelope (4.8W-23.4W, 9.4-28.6 mm^2 per core) and feature-cost
 //! observations (SSE ~7.4% power / ~17.3% area; register width up to
 //! ~6.4% power).
@@ -14,6 +14,4 @@ pub mod energy;
 pub mod model;
 
 pub use energy::{energy, energy_scaled, EnergyReport, EnergyScales, CLOCK_HZ};
-pub use model::{
-    chip_budget, core_budget, l2_cost, ChipBudget, CoreBreakdown, CoreBudget, StructureCost,
-};
+pub use model::{chip_budget, core_budget, ChipBudget, CoreBreakdown, CoreBudget, StructureCost};

@@ -66,7 +66,7 @@ pub struct CoreBreakdown {
 
 impl CoreBreakdown {
     /// Total of all structures.
-    pub fn total(&self) -> StructureCost {
+    pub(crate) fn total(&self) -> StructureCost {
         self.fetch
             + self.decode
             + self.bpred
@@ -112,7 +112,7 @@ const OVERHEAD_POWER_IO: f64 = 0.60;
 const OVERHEAD_POWER_OOO: f64 = 3.70;
 
 /// Shared L2 cost at chip level.
-pub fn l2_cost(total_l2_kb: u32, _ways: u32) -> StructureCost {
+pub(crate) fn l2_cost(total_l2_kb: u32, _ways: u32) -> StructureCost {
     let mb = total_l2_kb as f64 / 1024.0;
     StructureCost::new(2.6 * mb, 0.55 * mb)
 }

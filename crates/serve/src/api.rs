@@ -47,7 +47,7 @@ impl From<(u16, String)> for Reply {
 }
 
 /// Routes one request to its handler.
-pub fn handle(state: &Arc<ServerState>, req: &Request) -> Reply {
+pub(crate) fn handle(state: &Arc<ServerState>, req: &Request) -> Reply {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => healthz(state).into(),
         ("GET", "/v1/designs") => designs(state, req).into(),
@@ -68,7 +68,7 @@ pub fn handle(state: &Arc<ServerState>, req: &Request) -> Reply {
 
 /// Renders the uniform error envelope:
 /// `{"error":{"status":...,"code":"...","message":"..."}}`.
-pub fn error_response(status: u16, code: &str, message: &str) -> (u16, String) {
+pub(crate) fn error_response(status: u16, code: &str, message: &str) -> (u16, String) {
     let mut w = JsonWriter::new();
     w.begin_obj()
         .key("error")

@@ -33,7 +33,7 @@ pub enum ReadStage {
 
 impl ReadStage {
     /// Stable lowercase name used in 408 bodies and metrics.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ReadStage::Idle => "idle",
             ReadStage::Head => "head",
@@ -60,7 +60,7 @@ pub struct Request {
 impl Request {
     /// The value of query parameter `name`, percent-decoding `%xx`
     /// escapes and `+` as space.
-    pub fn query_param(&self, name: &str) -> Option<String> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<String> {
         for pair in self.query.split('&') {
             let mut it = pair.splitn(2, '=');
             let k = it.next().unwrap_or("");
@@ -73,7 +73,7 @@ impl Request {
 
     /// Whether the client asked to close the connection after this
     /// request.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.headers
             .get("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
@@ -118,7 +118,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// bounds the *total* wall-clock time one request may take to arrive.
 /// Either limit expiring surfaces as [`RecvError::TimedOut`] with the
 /// read stage it struck in.
-pub fn read_request(stream: &mut TcpStream, budget: Duration) -> Result<Request, RecvError> {
+pub(crate) fn read_request(stream: &mut TcpStream, budget: Duration) -> Result<Request, RecvError> {
     let deadline = Instant::now() + budget;
     // Read until the blank line ending the head.
     let mut head = Vec::with_capacity(512);
@@ -271,7 +271,7 @@ fn percent_decode(s: &str) -> String {
 }
 
 /// Canonical reason phrase for the status codes the service emits.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -292,7 +292,7 @@ pub fn reason(status: u16) -> &'static str {
 /// `retry_after` adds a `Retry-After: <seconds>` header — set it on
 /// 429/503 shed responses so well-behaved clients back off instead of
 /// hammering an overloaded server.
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
     body: &str,

@@ -355,7 +355,7 @@ impl JsonWriter {
     }
 
     /// Opens an object (`{`).
-    pub fn begin_obj(&mut self) -> &mut Self {
+    pub(crate) fn begin_obj(&mut self) -> &mut Self {
         self.pre_value();
         self.out.push('{');
         self.need_comma.push(false);
@@ -363,14 +363,14 @@ impl JsonWriter {
     }
 
     /// Closes the innermost object (`}`).
-    pub fn end_obj(&mut self) -> &mut Self {
+    pub(crate) fn end_obj(&mut self) -> &mut Self {
         self.need_comma.pop();
         self.out.push('}');
         self
     }
 
     /// Opens an array (`[`).
-    pub fn begin_arr(&mut self) -> &mut Self {
+    pub(crate) fn begin_arr(&mut self) -> &mut Self {
         self.pre_value();
         self.out.push('[');
         self.need_comma.push(false);
@@ -378,14 +378,14 @@ impl JsonWriter {
     }
 
     /// Closes the innermost array (`]`).
-    pub fn end_arr(&mut self) -> &mut Self {
+    pub(crate) fn end_arr(&mut self) -> &mut Self {
         self.need_comma.pop();
         self.out.push(']');
         self
     }
 
     /// Writes an object key; the next call writes its value.
-    pub fn key(&mut self, k: &str) -> &mut Self {
+    pub(crate) fn key(&mut self, k: &str) -> &mut Self {
         self.pre_value();
         write_escaped(&mut self.out, k);
         self.out.push(':');
@@ -428,14 +428,14 @@ impl JsonWriter {
     }
 
     /// Writes a boolean value.
-    pub fn bool_val(&mut self, b: bool) -> &mut Self {
+    pub(crate) fn bool_val(&mut self, b: bool) -> &mut Self {
         self.pre_value();
         self.out.push_str(if b { "true" } else { "false" });
         self
     }
 
     /// Writes pre-rendered JSON verbatim (for embedding snapshots).
-    pub fn raw(&mut self, json: &str) -> &mut Self {
+    pub(crate) fn raw(&mut self, json: &str) -> &mut Self {
         self.pre_value();
         self.out.push_str(json);
         self

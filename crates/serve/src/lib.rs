@@ -75,7 +75,7 @@ pub mod json;
 pub mod server;
 pub mod state;
 
-pub use api::{handle, Reply};
+pub use api::Reply;
 pub use http::ReadStage;
 pub use server::Server;
 pub use state::{

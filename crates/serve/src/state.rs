@@ -114,7 +114,7 @@ pub enum Lifecycle {
 
 impl Lifecycle {
     /// Stable lowercase name used in `/healthz` responses.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Lifecycle::Running => "ok",
             Lifecycle::Draining => "draining",
@@ -291,7 +291,7 @@ pub enum RowSource {
 
 impl RowSource {
     /// Stable lowercase name used in JSON responses.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RowSource::Pinned => "table",
             RowSource::Cached => "cached",
@@ -389,7 +389,7 @@ pub struct ServerState {
 
 /// The row LRU key of a fingerprint string (FNV-1a, same family the
 /// profile cache uses for its content addressing).
-pub fn row_key(fingerprint: &str) -> u64 {
+pub(crate) fn row_key(fingerprint: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in fingerprint.as_bytes() {
         h ^= u64::from(b);
@@ -470,28 +470,28 @@ impl ServerState {
 
     /// Moves the server to `stage` (called by the serving loop; state
     /// only ever advances Running -> Draining -> Stopped).
-    pub fn set_lifecycle(&self, stage: Lifecycle) {
+    pub(crate) fn set_lifecycle(&self, stage: Lifecycle) {
         self.lifecycle.store(stage as u8, Ordering::Release);
     }
 
     /// Total requests dispatched to handlers so far.
-    pub fn requests_seen(&self) -> u64 {
+    pub(crate) fn requests_seen(&self) -> u64 {
         self.request_seq.load(Ordering::Relaxed)
     }
 
     /// Claims the next request sequence number (0-based; used by the
     /// chaos plan to target specific requests deterministically).
-    pub fn next_request_seq(&self) -> u64 {
+    pub(crate) fn next_request_seq(&self) -> u64 {
         self.request_seq.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The known phase spec for `name`.
-    pub fn phase_spec(&self, name: &str) -> Option<&PhaseSpec> {
+    pub(crate) fn phase_spec(&self, name: &str) -> Option<&PhaseSpec> {
         self.by_name.get(name).map(|&pi| &self.phases[pi])
     }
 
     /// Rows refined online and still resident.
-    pub fn rows_resident(&self) -> usize {
+    pub(crate) fn rows_resident(&self) -> usize {
         self.rows.len()
     }
 
@@ -501,7 +501,7 @@ impl ServerState {
     }
 
     /// Seconds since the state was created.
-    pub fn uptime_s(&self) -> f64 {
+    pub(crate) fn uptime_s(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
 
@@ -509,7 +509,7 @@ impl ServerState {
     /// pinned table rows, the refined-row LRU, then online refinement
     /// under `deadline`. Concurrent requests for the same fingerprint
     /// share one refinement.
-    pub fn row_for_spec(
+    pub(crate) fn row_for_spec(
         &self,
         spec: &PhaseSpec,
         deadline: Instant,

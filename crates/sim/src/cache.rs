@@ -62,17 +62,8 @@ impl Cache {
         false
     }
 
-    /// Miss rate so far.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Line size in bytes.
-    pub fn line_bytes(&self) -> u64 {
+    pub(crate) fn line_bytes(&self) -> u64 {
         self.line_bytes
     }
 }
@@ -94,7 +85,7 @@ pub struct StreamPrefetcher {
 
 impl StreamPrefetcher {
     /// Creates a prefetcher with the given look-ahead degree.
-    pub fn new(degree: u64) -> Self {
+    pub(crate) fn new(degree: u64) -> Self {
         StreamPrefetcher {
             table: vec![(u64::MAX, 0); 64],
             degree: degree.max(1),
@@ -104,7 +95,7 @@ impl StreamPrefetcher {
 
     /// Observes a miss line; returns the lines to prefetch (empty when
     /// no stream is detected).
-    pub fn observe_miss(&mut self, line: u64) -> Vec<u64> {
+    pub(crate) fn observe_miss(&mut self, line: u64) -> Vec<u64> {
         let page = line >> 6; // 64 lines = 4KB pages
         let slot = (page as usize) % self.table.len();
         let (p, last) = self.table[slot];
@@ -168,7 +159,13 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Builds a hierarchy from sizes in bytes.
-    pub fn new(l1i_bytes: u64, l1d_bytes: u64, l1_ways: u32, l2_bytes: u64, l2_ways: u32) -> Self {
+    pub(crate) fn new(
+        l1i_bytes: u64,
+        l1d_bytes: u64,
+        l1_ways: u32,
+        l2_bytes: u64,
+        l2_ways: u32,
+    ) -> Self {
         Hierarchy {
             l1i: Cache::new(l1i_bytes, l1_ways),
             l1d: Cache::new(l1d_bytes, l1_ways),
@@ -180,14 +177,14 @@ impl Hierarchy {
 
     /// Enables the L1D stream prefetcher (builder style).
     #[must_use]
-    pub fn with_prefetcher(mut self, degree: u64) -> Self {
+    pub(crate) fn with_prefetcher(mut self, degree: u64) -> Self {
         self.prefetcher = Some(StreamPrefetcher::new(degree));
         self
     }
 
     /// Data access: returns the extra latency beyond the L1-hit load
     /// latency (0 on L1 hit).
-    pub fn data_access(&mut self, addr: u64) -> u32 {
+    pub(crate) fn data_access(&mut self, addr: u64) -> u32 {
         if self.l1d.access(addr) {
             return 0;
         }
@@ -208,13 +205,25 @@ impl Hierarchy {
     }
 
     /// Instruction fetch: returns the bubble cycles (0 on L1I hit).
-    pub fn inst_access(&mut self, addr: u64) -> u32 {
+    pub(crate) fn inst_access(&mut self, addr: u64) -> u32 {
         if self.l1i.access(addr) {
             0
         } else if self.l2.access(addr) {
             self.latency.l2
         } else {
             self.latency.mem
+        }
+    }
+}
+
+#[cfg(test)]
+impl Cache {
+    /// Miss rate so far.
+    pub(crate) fn miss_rate(&self) -> f64 {
+        if self.accesses == 0 {
+            0.0
+        } else {
+            self.misses as f64 / self.accesses as f64
         }
     }
 }

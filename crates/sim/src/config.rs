@@ -15,7 +15,7 @@ pub enum ExecSemantics {
 
 impl ExecSemantics {
     /// Table III/IV display letter.
-    pub fn letter(self) -> char {
+    pub(crate) fn letter(self) -> char {
         match self {
             ExecSemantics::InOrder => 'I',
             ExecSemantics::OutOfOrder => 'O',

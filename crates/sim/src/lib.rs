@@ -19,7 +19,7 @@ pub mod predictor;
 pub use cache::{Cache, Hierarchy, MemLatency, StreamPrefetcher};
 pub use config::{CoreConfig, ExecSemantics, WindowConfig};
 pub use pipeline::{
-    simulate, simulate_arena, simulate_shared_frontend, simulate_with_prefetcher, Activity,
-    SimResult, StallBreakdown, SupplyTrace, REDIRECT_DECODE_EXTRA, REDIRECT_REFILL,
+    simulate, simulate_shared_frontend, simulate_with_prefetcher, Activity, SimResult,
+    StallBreakdown, SupplyTrace, REDIRECT_DECODE_EXTRA, REDIRECT_REFILL,
 };
 pub use predictor::{BranchPredictor, Gshare, PredictorKind, Tournament, TwoLevelLocal};

@@ -109,14 +109,13 @@ pub struct Activity {
 ///
 /// This is the **canonical** stall accounting: each stalled cycle is
 /// attributed to exactly one component at the point where the pipeline
-/// model applies the stall, so the components never overlap and the
-/// aggregate views ([`frontend_total`](Self::frontend_total),
-/// [`dispatch_total`](Self::dispatch_total), [`total`](Self::total))
-/// are derived sums rather than separately maintained fields — there is
-/// no second copy to drift out of sync. The accounting is purely
-/// observational: it reads the same quantities the timing model already
-/// computes and never feeds back into cycle counts, so `cycles` (and
-/// every cached probe result) is bit-identical with or without it.
+/// model applies the stall, so the components never overlap and any
+/// aggregate is a plain sum of them rather than a separately
+/// maintained field — there is no second copy to drift out of sync.
+/// The accounting is purely observational: it reads the same quantities
+/// the timing model already computes and never feeds back into cycle
+/// counts, so `cycles` (and every cached probe result) is bit-identical
+/// with or without it.
 ///
 /// A frontend gap raised by both an I-cache bubble and a branch
 /// redirect is attributed wholly to whichever cause set the final
@@ -143,23 +142,6 @@ pub struct StallBreakdown {
     pub dispatch_lsq: u64,
 }
 
-impl StallBreakdown {
-    /// Frontend stall cycles (I-cache + redirect).
-    pub fn frontend_total(&self) -> u64 {
-        self.frontend_icache + self.frontend_redirect
-    }
-
-    /// Dispatch (backpressure) stall cycles (ROB + IQ + LSQ).
-    pub fn dispatch_total(&self) -> u64 {
-        self.dispatch_rob + self.dispatch_iq + self.dispatch_lsq
-    }
-
-    /// All attributed stall cycles.
-    pub fn total(&self) -> u64 {
-        self.frontend_total() + self.dispatch_total()
-    }
-}
-
 /// Result of simulating one trace on one core.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
@@ -179,15 +161,6 @@ impl SimResult {
             0.0
         } else {
             self.activity.uops as f64 / self.cycles as f64
-        }
-    }
-
-    /// Mispredictions per kilo-uop.
-    pub fn mpku(&self) -> f64 {
-        if self.activity.uops == 0 {
-            0.0
-        } else {
-            1000.0 * self.activity.bp_mispredicts as f64 / self.activity.uops as f64
         }
     }
 }
@@ -249,15 +222,6 @@ impl FuPool {
 /// Simulates a core over a micro-op trace.
 pub fn simulate(cfg: &CoreConfig, trace: impl Iterator<Item = DynUop>) -> SimResult {
     simulate_with_prefetcher(cfg, trace, false)
-}
-
-/// Simulates a core over a pre-materialized [`TraceArena`], replaying
-/// the arena's micro-op stream instead of paying a fresh
-/// [`cisa_workloads::TraceGenerator`] expansion. The arena
-/// reconstruction is lossless, so this is bit-identical to
-/// [`simulate`] over a generator with the same parameters.
-pub fn simulate_arena(cfg: &CoreConfig, arena: &TraceArena) -> SimResult {
-    simulate(cfg, arena.uops())
 }
 
 /// The [`MacroRecord`] the frontend sees for a first micro-op, exactly
@@ -362,7 +326,8 @@ impl SupplySink for ReplaySupply<'_> {
 /// Simulates each core over the same arena, sharing one captured
 /// decode-supply stream across all of them. Every config must use the
 /// decoder configuration the trace was captured with (asserted);
-/// results are bit-identical to independent [`simulate_arena`] calls,
+/// results are bit-identical to independent [`simulate`] calls over
+/// the arena's micro-ops,
 /// minus the redundant frontend work.
 pub fn simulate_shared_frontend(
     cfgs: &[CoreConfig],
@@ -693,6 +658,46 @@ fn run_pipeline(
         activity: act,
         stalls,
     }
+}
+
+#[cfg(test)]
+impl StallBreakdown {
+    /// Frontend stall cycles (I-cache + redirect).
+    pub(crate) fn frontend_total(&self) -> u64 {
+        self.frontend_icache + self.frontend_redirect
+    }
+
+    /// Dispatch (backpressure) stall cycles (ROB + IQ + LSQ).
+    pub(crate) fn dispatch_total(&self) -> u64 {
+        self.dispatch_rob + self.dispatch_iq + self.dispatch_lsq
+    }
+
+    /// All attributed stall cycles.
+    pub(crate) fn total(&self) -> u64 {
+        self.frontend_total() + self.dispatch_total()
+    }
+}
+
+#[cfg(test)]
+impl SimResult {
+    /// Mispredictions per kilo-uop.
+    pub(crate) fn mpku(&self) -> f64 {
+        if self.activity.uops == 0 {
+            0.0
+        } else {
+            1000.0 * self.activity.bp_mispredicts as f64 / self.activity.uops as f64
+        }
+    }
+}
+
+/// Simulates a core over a pre-materialized [`TraceArena`], replaying
+/// the arena's micro-op stream instead of paying a fresh
+/// [`cisa_workloads::TraceGenerator`] expansion. The arena
+/// reconstruction is lossless, so this is bit-identical to
+/// [`simulate`] over a generator with the same parameters.
+#[cfg(test)]
+pub(crate) fn simulate_arena(cfg: &CoreConfig, arena: &TraceArena) -> SimResult {
+    simulate(cfg, arena.uops())
 }
 
 #[cfg(test)]

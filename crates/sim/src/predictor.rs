@@ -32,7 +32,7 @@ impl PredictorKind {
     ];
 
     /// Table I display letter (L / G / T).
-    pub fn letter(self) -> char {
+    pub(crate) fn letter(self) -> char {
         match self {
             PredictorKind::TwoLevelLocal => 'L',
             PredictorKind::Gshare => 'G',
@@ -76,7 +76,7 @@ const LOCAL_HISTORY_BITS: u32 = 10;
 
 impl TwoLevelLocal {
     /// Creates the predictor with cleared tables.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TwoLevelLocal {
             histories: vec![0; LOCAL_ENTRIES],
             patterns: vec![1; 1 << LOCAL_HISTORY_BITS],
@@ -120,7 +120,7 @@ const GSHARE_BITS: u32 = 12;
 
 impl Gshare {
     /// Creates the predictor with cleared tables.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Gshare {
             ghr: 0,
             counters: vec![1; 1 << GSHARE_BITS],
@@ -161,7 +161,7 @@ pub struct Tournament {
 
 impl Tournament {
     /// Creates the predictor with cleared tables.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Tournament {
             local: TwoLevelLocal::new(),
             global: Gshare::new(),

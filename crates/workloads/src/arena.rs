@@ -13,7 +13,7 @@
 //! - the cycle simulators replay the identical micro-op sequence from
 //!   [`TraceArena::uops`] without paying trace generation again.
 //!
-//! The arena is lossless: [`TraceArena::get`] reconstructs each
+//! The arena is lossless: [`TraceArena::uops`] reconstructs each
 //! [`DynUop`] bit-for-bit as the generator produced it, so arena-fed
 //! consumers are guaranteed to observe the exact stream a fresh
 //! [`TraceGenerator`] with the same parameters would emit.
@@ -149,28 +149,6 @@ impl TraceArena {
         self.kind.is_empty()
     }
 
-    /// Reconstructs micro-op `i` exactly as the generator emitted it.
-    #[inline]
-    pub fn get(&self, i: usize) -> DynUop {
-        let flags = self.flags[i];
-        DynUop {
-            kind: self.kind[i],
-            dst: self.dst[i],
-            src1: self.src1[i],
-            src2: self.src2[i],
-            pred: self.pred[i],
-            pc: self.pc[i],
-            len: self.len[i],
-            first: flags & FLAG_FIRST != 0,
-            macro_uops: self.macro_uops[i],
-            mem_addr: self.mem_addr[i],
-            mem_locality: locality_from_u8(self.mem_locality[i]),
-            taken: flags & FLAG_TAKEN != 0,
-            target: self.target[i],
-            vector: flags & FLAG_VECTOR != 0,
-        }
-    }
-
     /// Streams the trace as [`DynUop`]s (the AoS view the simulators
     /// consume), identical to a fresh generator run. The columns are
     /// zipped rather than indexed so replay pays no per-field bounds
@@ -242,18 +220,6 @@ impl TraceArena {
         &self.mem_addr
     }
 
-    /// Encoded macro-op length column (bytes).
-    #[inline]
-    pub fn lens(&self) -> &[u8] {
-        &self.len
-    }
-
-    /// Micro-ops-per-macro-op column.
-    #[inline]
-    pub fn macro_uop_counts(&self) -> &[u8] {
-        &self.macro_uops
-    }
-
     /// Whether micro-op `i` is the first of its macro-op.
     #[inline]
     pub fn is_first(&self, i: usize) -> bool {
@@ -264,6 +230,43 @@ impl TraceArena {
     #[inline]
     pub fn is_taken(&self, i: usize) -> bool {
         self.flags[i] & FLAG_TAKEN != 0
+    }
+}
+
+#[cfg(test)]
+impl TraceArena {
+    /// Reconstructs micro-op `i` exactly as the generator emitted it.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> DynUop {
+        let flags = self.flags[i];
+        DynUop {
+            kind: self.kind[i],
+            dst: self.dst[i],
+            src1: self.src1[i],
+            src2: self.src2[i],
+            pred: self.pred[i],
+            pc: self.pc[i],
+            len: self.len[i],
+            first: flags & FLAG_FIRST != 0,
+            macro_uops: self.macro_uops[i],
+            mem_addr: self.mem_addr[i],
+            mem_locality: locality_from_u8(self.mem_locality[i]),
+            taken: flags & FLAG_TAKEN != 0,
+            target: self.target[i],
+            vector: flags & FLAG_VECTOR != 0,
+        }
+    }
+
+    /// Encoded macro-op length column (bytes).
+    #[inline]
+    pub(crate) fn lens(&self) -> &[u8] {
+        &self.len
+    }
+
+    /// Micro-ops-per-macro-op column.
+    #[inline]
+    pub(crate) fn macro_uop_counts(&self) -> &[u8] {
+        &self.macro_uops
     }
 }
 

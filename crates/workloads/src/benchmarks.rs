@@ -22,8 +22,6 @@
 // Phase tables keep parallel structure like `1 * MB` next to `256 * KB`.
 #![allow(clippy::identity_op)]
 
-use cisa_isa::inst::MemLocality;
-
 /// Memory-locality profile of a phase: how its working set interacts
 /// with the cache hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,17 +86,6 @@ impl PhaseSpec {
         format!("{}.p{}", self.benchmark, self.index)
     }
 
-    /// Dominant locality class for generated working-set accesses.
-    pub fn dominant_locality(&self) -> MemLocality {
-        if self.locality.pointer_chase_fraction > 0.5 {
-            MemLocality::PointerChase
-        } else if self.locality.stream_bytes > self.locality.working_set_bytes {
-            MemLocality::Stream
-        } else {
-            MemLocality::WorkingSet
-        }
-    }
-
     /// A stable textual fingerprint of every generation parameter.
     ///
     /// Two specs with equal fingerprints generate identical IR (the
@@ -136,14 +123,6 @@ pub struct Benchmark {
     pub name: &'static str,
     /// Phases (SimPoint regions).
     pub phases: Vec<PhaseSpec>,
-}
-
-impl Benchmark {
-    /// Relative weight of each phase (uniform; SimPoint weighting is
-    /// folded into the phase specs themselves).
-    pub fn phase_weight(&self) -> f64 {
-        1.0 / self.phases.len() as f64
-    }
 }
 
 /// KB/MB helpers.
@@ -1022,7 +1001,6 @@ mod tests {
     fn mcf_is_pointer_chasing() {
         for p in all_phases().iter().filter(|p| p.benchmark == "mcf") {
             assert!(p.locality.pointer_chase_fraction >= 0.5);
-            assert_eq!(p.dominant_locality(), MemLocality::PointerChase);
         }
     }
 
@@ -1059,6 +1037,5 @@ mod tests {
         assert!(benchmark("hmmer").is_some());
         assert!(benchmark("nginx").is_none());
         assert_eq!(benchmark("bzip2").unwrap().phases.len(), 8);
-        assert!((benchmark("lbm").unwrap().phase_weight() - 0.25).abs() < 1e-12);
     }
 }

@@ -226,7 +226,7 @@ impl TraceGenerator {
     }
 
     /// Total static code bytes (for I-cache/footprint models).
-    pub fn code_bytes(&self) -> u64 {
+    pub(crate) fn code_bytes(&self) -> u64 {
         self.blocks.last().map_or(0, |b| b.end_pc) - self.block_pcs.first().copied().unwrap_or(0)
     }
 
