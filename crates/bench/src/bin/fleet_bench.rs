@@ -16,7 +16,10 @@
 //! (hard floors), and with `--check <baseline.json>` each gain must
 //! retain at least half the committed baseline's (the repository's
 //! standard retention pattern, robust to runner speed since the gains
-//! are dimensionless).
+//! are dimensionless). Under `--check` every count in the record — the
+//! configuration, matrix classes, completions, migrations,
+//! `cap_blocked` and the work counters — must also equal the
+//! baseline's exactly, except the header's `threads`.
 //!
 //! Usage: `fleet_bench [--chips N] [--threads N] [--seed N]
 //! [--shards N] [--out <path>] [--check <baseline.json>]`

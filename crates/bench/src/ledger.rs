@@ -9,7 +9,11 @@
 //! read back with [`baseline_number`] has exactly the measured bits.
 //! A gate passes when the measured value reaches
 //! `max(hard_floor, baseline × retention)`; the baseline term applies
-//! only under `--check <baseline.json>`.
+//! only under `--check <baseline.json>`. A bench whose counts are
+//! deterministic also opts into [`Bench::exact_counts`]: under
+//! `--check`, every count in the record except the header's `threads`
+//! must equal the baseline's, so a change in work done is a declared
+//! baseline change, never noise.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -48,6 +52,12 @@ pub struct Bench {
     pub file: &'static str,
     /// Gates applied after the record is written.
     pub gates: &'static [Gate],
+    /// Whether `--check` also requires every count (an
+    /// [`Value::Int`] entry) except the header's `threads` to equal the
+    /// baseline's. Only for benches whose counts are a pure function of
+    /// their inputs, run in CI with the inputs the baseline was taken
+    /// with.
+    pub exact_counts: bool,
 }
 
 /// Cold probe sweep: the fused-vs-reference speedup keeps 75% of the
@@ -55,6 +65,7 @@ pub struct Bench {
 pub const PROBE: Bench = Bench {
     file: "BENCH_probe.json",
     gates: &[gate("speedup", 0.75, 0.0)],
+    exact_counts: false,
 };
 
 /// Warm table fill: the block-vs-scalar speedup stays at least 2x and
@@ -62,16 +73,20 @@ pub const PROBE: Bench = Bench {
 pub const TABLE: Bench = Bench {
     file: "BENCH_table.json",
     gates: &[gate("speedup", 0.5, 2.0)],
+    exact_counts: false,
 };
 
 /// Fleet simulation: migration-aware beats static-random on EDP and
-/// p99 slowdown, keeping half of each baseline gain.
+/// p99 slowdown, keeping half of each baseline gain; under `--check`
+/// every work and outcome count matches the baseline exactly (the run
+/// is bit-identical at any `CISA_THREADS`).
 pub const FLEET: Bench = Bench {
     file: "BENCH_fleet.json",
     gates: &[
         gate("migration_aware_edp_gain", 0.5, 1.0),
         gate("migration_aware_p99_slowdown_gain", 0.5, 1.0),
     ],
+    exact_counts: true,
 };
 
 /// Affinity service load: warm throughput stays at least 1000 req/s
@@ -79,6 +94,7 @@ pub const FLEET: Bench = Bench {
 pub const SERVE: Bench = Bench {
     file: "BENCH_serve.json",
     gates: &[gate("throughput_rps", 0.5, 1000.0)],
+    exact_counts: false,
 };
 
 /// Every gated bench.
@@ -257,6 +273,25 @@ impl Verdict {
     }
 }
 
+/// One exact-count comparison of [`Bench::exact_counts`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CountCheck {
+    /// The record entry compared.
+    pub key: String,
+    /// The count this run recorded.
+    pub measured: u64,
+    /// The baseline's number under the same key, if it has one.
+    pub baseline: Option<f64>,
+}
+
+impl CountCheck {
+    /// Whether the baseline holds exactly the measured count (a key the
+    /// baseline lacks never passes).
+    pub fn passed(&self) -> bool {
+        self.baseline == Some(self.measured as f64)
+    }
+}
+
 impl Bench {
     /// Parses the process arguments; a usage error exits 2.
     pub fn args(&self, extra_flags: &[&str]) -> Args {
@@ -292,6 +327,28 @@ impl Bench {
         self.gates.iter().map(|&g| verdict(g)).collect()
     }
 
+    /// Compares every count in `record` except the header's `threads`
+    /// with the `baseline` text, in record order. Empty unless this
+    /// bench opts into [`Bench::exact_counts`] and a baseline is given.
+    pub fn check_counts(&self, record: &Record, baseline: Option<&str>) -> Vec<CountCheck> {
+        let Some(text) = baseline.filter(|_| self.exact_counts) else {
+            return Vec::new();
+        };
+        let json = cisa_serve::json::parse(text).ok();
+        record
+            .entries
+            .iter()
+            .filter_map(|(key, value)| match value {
+                Value::Int(n) if key != "threads" => Some(CountCheck {
+                    key: key.clone(),
+                    measured: *n,
+                    baseline: json.as_ref().and_then(|j| j.get(key)?.as_f64()),
+                }),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Writes `record` to `args.out` (creating its directory), then
     /// applies the gates, printing one line per gate. Exits 1 on a
     /// missed gate or an unusable baseline.
@@ -319,8 +376,23 @@ impl Bench {
                 v.measured, v.floor
             );
         }
+        let counts = self.check_counts(record, baseline.as_deref());
+        for c in counts.iter().filter(|c| !c.passed()) {
+            let base = c.baseline.map_or("none".to_string(), |b| b.to_string());
+            println!(
+                "count {}: measured {} vs baseline {base} FAIL",
+                c.key, c.measured
+            );
+        }
+        if !counts.is_empty() {
+            let matched = counts.iter().filter(|c| c.passed()).count();
+            println!("counts: {matched} of {} equal the baseline", counts.len());
+        }
         if !verdicts.iter().all(Verdict::passed) {
             exit(1, &format!("{} gate missed", self.file));
+        }
+        if !counts.iter().all(CountCheck::passed) {
+            exit(1, &format!("{} counts differ from the baseline", self.file));
         }
         println!("gates: ok");
     }

@@ -4,7 +4,9 @@
 
 use std::path::PathBuf;
 
-use cisa_bench::ledger::{baseline_number, Args, Bench, Record, Value, ALL, FLEET, PROBE, TABLE};
+use cisa_bench::ledger::{
+    baseline_number, Args, Bench, Record, Value, ALL, FLEET, PROBE, SERVE, TABLE,
+};
 use cisa_bench::results_dir;
 
 fn args(bench: &Bench, extra: &[&str], argv: &[&str]) -> Result<Args, String> {
@@ -107,6 +109,47 @@ fn missing_gated_key_is_an_error_not_a_pass() {
     assert!(PROBE.check(&Record::new(), None).is_err());
     let nan = record_with("speedup", f64::NAN);
     assert!(!PROBE.check(&nan, None).expect("gated")[0].passed());
+}
+
+/// A record with the header, one count and one real.
+fn counted(migrations: u64) -> Record {
+    let mut r = Record::new();
+    r.int("migrations", migrations).num("sim_s", 7.8);
+    r
+}
+
+#[test]
+fn exact_counts_pass_only_on_equal_counts() {
+    let baseline = "{\"schema\": 1, \"threads\": 64, \"migrations\": 111774, \"sim_s\": 3.1}";
+    // Equal counts pass; the header's worker count and reals are exempt.
+    let checks = FLEET.check_counts(&counted(111_774), Some(baseline));
+    let keys: Vec<&str> = checks.iter().map(|c| c.key.as_str()).collect();
+    assert_eq!(keys, ["schema", "migrations"]);
+    assert!(checks.iter().all(|c| c.passed()), "{checks:?}");
+
+    // One count off fails, whichever way it moved.
+    for n in [111_773, 111_775] {
+        let checks = FLEET.check_counts(&counted(n), Some(baseline));
+        let failed: Vec<&str> = checks
+            .iter()
+            .filter(|c| !c.passed())
+            .map(|c| c.key.as_str())
+            .collect();
+        assert_eq!(failed, ["migrations"], "{n}");
+    }
+
+    // A count the baseline lacks, or an unreadable baseline, never passes.
+    let checks = FLEET.check_counts(&counted(111_774), Some("{\"schema\": 1}"));
+    assert!(!checks.iter().all(|c| c.passed()));
+    let checks = FLEET.check_counts(&counted(111_774), Some("not json"));
+    assert!(checks.iter().all(|c| !c.passed()));
+
+    // Only under `--check`, and only for a bench that opts in.
+    assert!(FLEET.check_counts(&counted(1), None).is_empty());
+    for bench in [PROBE, TABLE, SERVE] {
+        assert!(!bench.exact_counts, "{}", bench.file);
+        assert!(bench.check_counts(&counted(1), Some(baseline)).is_empty());
+    }
 }
 
 /// Every key a gate reads parses to a finite number in its committed

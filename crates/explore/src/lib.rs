@@ -19,7 +19,7 @@
 //! | [`table`] | The evaluated (phase x design point) performance table |
 //! | [`multicore`] | 4-core search: objectives, budgets, local search |
 //! | [`systems`] | The paper's five system organizations + sensitivity study |
-//! | [`runner`] | Parallel sweep execution, panic isolation, thread-pool sizing |
+//! | [`runner`] | Parallel sweep execution, panic isolation, thread-pool sizing, probe dedup |
 //! | [`cache`] | Content-addressed on-disk cache of probe results |
 //! | [`store`] | Sharded in-memory LRU tier over the cache (serving reads) |
 //! | [`faults`] | Deterministic, seed-replayable fault injection |
@@ -52,7 +52,9 @@ pub use profile::{
     codegen_fingerprint, probe, probe_reference, probes_run, PhaseProfile, StoreForwardTable,
     PROBE_UOPS,
 };
-pub use runner::{par_map, par_map_isolated, threads, ItemError, SweepReport, SweepRunner};
+pub use runner::{
+    par_map, par_map_isolated, threads, ItemError, ProbeDedup, SweepReport, SweepRunner,
+};
 pub use space::{all_microarchs, DesignId, DesignSpace, MicroArch, UaSoa};
 pub use store::{ShardedLru, ShardedProfileStore, StoreStats};
 pub use systems::{

@@ -17,8 +17,10 @@
 //!   of killing the sweep;
 //! - [`SweepRunner`] — the object the experiment binaries in
 //!   `crates/bench` share: it owns the thread budget, an optional
-//!   [`ProfileCache`], and an optional [`crate::faults::FaultPlan`]
-//!   for robustness testing.
+//!   [`ProfileCache`], a [`ProbeDedup`], and an optional
+//!   [`crate::faults::FaultPlan`] for robustness testing;
+//! - [`ProbeDedup`] — the codegen-fingerprint probe dedup, shared by
+//!   the runner and by the affinity service's online refinement.
 //!
 //! The build dependency budget is zero: parallelism is `std::thread`
 //! scoped threads with an atomic work queue, not an external pool.
@@ -31,7 +33,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cisa_compiler::{compile, CompileOptions};
+use cisa_compiler::{compile, CompileOptions, CompiledCode};
 use cisa_isa::encoding::InstLengthDecoder;
 use cisa_isa::inst::MachineInst;
 use cisa_isa::{Encoder, FeatureSet};
@@ -292,6 +294,54 @@ where
     out.into_iter().flatten().collect()
 }
 
+/// In-process codegen-fingerprint probe dedup.
+///
+/// The probe is a pure function of the phase spec and the compiled code
+/// (see [`codegen_fingerprint`]), so when two feature sets compile a
+/// phase to byte-identical code the second request reuses the measured
+/// [`PhaseProfile`] — bit-identical to what an independent probe would
+/// return — and counts a `probe/dedup_hit` instead of advancing
+/// [`crate::probes_run`]. Every [`SweepRunner`] owns one for its
+/// lifetime; the affinity service's online refinement makes one per
+/// refined spec.
+///
+/// Entries are keyed by (phase fingerprint, codegen fingerprint). Each
+/// cell is filled by exactly one probe; concurrent requests for the
+/// same key block on the same `OnceLock`, so the probe count stays
+/// deterministic at any thread count.
+#[derive(Debug, Default)]
+pub struct ProbeDedup {
+    cells: Mutex<HashMap<u64, Arc<OnceLock<PhaseProfile>>>>,
+    /// Probes answered from an already-measured fingerprint.
+    hits: AtomicU64,
+}
+
+impl ProbeDedup {
+    /// The profile of `code`, a compilation of `spec`: measured by
+    /// [`probe_compiled`] the first time its codegen fingerprint is
+    /// seen, reused (a `probe/dedup_hit`) every time after.
+    pub fn probe(&self, spec: &PhaseSpec, code: &CompiledCode) -> PhaseProfile {
+        let key =
+            fnv1a(format!("{}|{:#x}", spec.fingerprint(), codegen_fingerprint(code)).as_bytes());
+        let cell = {
+            let mut map = self.cells.lock().expect("dedup map poisoned");
+            Arc::clone(map.entry(key).or_default())
+        };
+        // Exactly one caller per key runs the probe; a panicking probe
+        // (fault injection) leaves the cell empty for the retry.
+        let mut ran = false;
+        let p = *cell.get_or_init(|| {
+            ran = true;
+            probe_compiled(spec, code)
+        });
+        if !ran {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            cisa_obs::counter("probe/dedup_hit", 1);
+        }
+        p
+    }
+}
+
 /// The shared sweep executor: thread budget + optional probe cache +
 /// optional fault plan.
 ///
@@ -309,14 +359,7 @@ pub struct SweepRunner {
     n_threads: usize,
     cache: Option<ProfileCache>,
     faults: Option<FaultPlan>,
-    /// In-process probe dedup, keyed by (phase fingerprint, codegen
-    /// fingerprint). Each cell is filled by exactly one probe;
-    /// concurrent requests for the same key block on the same
-    /// `OnceLock`, so the probe count stays deterministic at any
-    /// thread count.
-    dedup: Mutex<HashMap<u64, Arc<OnceLock<PhaseProfile>>>>,
-    /// Probes answered from an already-measured fingerprint.
-    dedup_hits: AtomicU64,
+    dedup: ProbeDedup,
 }
 
 impl SweepRunner {
@@ -330,8 +373,7 @@ impl SweepRunner {
             n_threads: n_threads.max(1),
             cache: None,
             faults: None,
-            dedup: Mutex::new(HashMap::new()),
-            dedup_hits: AtomicU64::new(0),
+            dedup: ProbeDedup::default(),
         }
     }
 
@@ -372,23 +414,14 @@ impl SweepRunner {
     /// Probes answered from the in-process dedup map instead of a full
     /// probe (two feature sets compiled a phase to identical code).
     pub fn dedup_hits(&self) -> u64 {
-        self.dedup_hits.load(Ordering::Relaxed)
+        self.dedup.hits.load(Ordering::Relaxed)
     }
 
     /// Probes one (phase, feature set) pair through the cache: load on
-    /// hit, otherwise compile, consult the in-process codegen-dedup
-    /// map, and probe-and-store on a genuine miss.
-    ///
-    /// Dedup: the probe is a pure function of the phase spec and the
-    /// compiled code (see [`codegen_fingerprint`]), so when two feature
-    /// sets compile a phase to byte-identical code the second request
-    /// reuses the measured [`PhaseProfile`] — bit-identical to what an
-    /// independent probe would return — and only [`dedup_hits`]
-    /// advances, not [`crate::probes_run`]. The on-disk cache stays
-    /// keyed per (phase, feature set), so warm runs never need the
-    /// compile step at all.
-    ///
-    /// [`dedup_hits`]: SweepRunner::dedup_hits
+    /// hit, otherwise compile, probe through the runner's
+    /// [`ProbeDedup`], and store. The on-disk cache stays keyed per
+    /// (phase, feature set), so warm runs never need the compile step
+    /// at all.
     pub fn probe(&self, spec: &PhaseSpec, fs: FeatureSet) -> PhaseProfile {
         if let Some(cache) = &self.cache {
             if let Some(p) = cache.load(spec, fs) {
@@ -397,23 +430,7 @@ impl SweepRunner {
         }
         let code = compile(&generate(spec), &fs, &CompileOptions::default())
             .expect("generated phases always compile");
-        let key =
-            fnv1a(format!("{}|{:#x}", spec.fingerprint(), codegen_fingerprint(&code)).as_bytes());
-        let cell = {
-            let mut map = self.dedup.lock().expect("dedup map poisoned");
-            Arc::clone(map.entry(key).or_default())
-        };
-        // Exactly one caller per key runs the probe; a panicking probe
-        // (fault injection) leaves the cell empty for the retry.
-        let mut ran = false;
-        let p = *cell.get_or_init(|| {
-            ran = true;
-            probe_compiled(spec, &code)
-        });
-        if !ran {
-            self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            cisa_obs::counter("probe/dedup_hit", 1);
-        }
+        let p = self.dedup.probe(spec, &code);
         if let Some(cache) = &self.cache {
             cache.store(spec, fs, &p);
         }

@@ -9,11 +9,14 @@
 //!    entries are copied, not recomputed).
 //! 2. **The row LRU** — a [`ShardedLru`] of rows refined online for
 //!    fingerprints the batch table has never seen.
-//! 3. **Online refinement** — the fused probe path, run once per
-//!    (phase, feature set) on a bounded pool with panic isolation
-//!    ([`par_map_isolated`]); probe results persist through a
-//!    [`ShardedProfileStore`], so a re-asked fingerprint — even after
-//!    row eviction or a server restart — refines without re-probing.
+//! 3. **Online refinement** — the fused probe path on a bounded pool
+//!    with panic isolation ([`par_map_isolated`]), one probe per
+//!    distinct compilation of the spec: feature sets that compile it
+//!    to identical code share a probe through a per-refinement
+//!    [`ProbeDedup`], the batch sweep's dedup. Every feature set's
+//!    profile persists through a [`ShardedProfileStore`], so a
+//!    re-asked fingerprint — even after row eviction or a server
+//!    restart — refines without compiling or probing.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -21,9 +24,10 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use cisa_explore::interval::evaluate_block;
-use cisa_explore::profile::probe_compiled;
 use cisa_explore::runner::par_map_isolated;
-use cisa_explore::{DesignId, DesignSpace, FaultPlan, PerfTable, ShardedLru, ShardedProfileStore};
+use cisa_explore::{
+    DesignId, DesignSpace, FaultPlan, PerfTable, ProbeDedup, ShardedLru, ShardedProfileStore,
+};
 use cisa_isa::FeatureSet;
 use cisa_workloads::PhaseSpec;
 
@@ -548,9 +552,9 @@ impl ServerState {
         result.map(|row| (RowSource::Refined, row))
     }
 
-    /// Runs the online refinement: probe every feature set (through
-    /// the two-tier store) on the bounded pool, then evaluate the full
-    /// row. Bit-identical to the batch path for the same spec.
+    /// Runs the online refinement: profile every feature set (through
+    /// the two-tier store, one probe per distinct compilation) on the
+    /// bounded pool, then evaluate the full row. Bit-identical to the batch path for the same spec.
     fn refine(
         &self,
         spec: &PhaseSpec,
@@ -606,6 +610,9 @@ impl ServerState {
     ) -> Result<Arc<AffinityRow>, RowError> {
         const DEADLINE_MSG: &str = "deadline exceeded";
         let fss = &self.space.feature_sets;
+        // Feature sets that compile this spec to identical code share
+        // one probe; the map lives for this refinement only.
+        let dedup = ProbeDedup::default();
         // One panic-isolated task per feature set; a poisoned probe
         // retries once and then fails the request, never the server.
         let (profiles, report) =
@@ -617,7 +624,7 @@ impl ServerState {
                     return Ok(p);
                 }
                 let code = cisa_compile(spec, fs)?;
-                let p = probe_compiled(spec, &code);
+                let p = dedup.probe(spec, &code);
                 self.store.store(spec, *fs, &p);
                 Ok(p)
             });
@@ -633,7 +640,8 @@ impl ServerState {
         }
         // Model evaluation rides the same batched block evaluator as
         // the batch table fill, so refined rows stay bit-identical to
-        // table-built rows (asserted by the loopback suite).
+        // table-built rows (asserted by `tests/http_api.rs`,
+        // `refined_row_is_bit_identical_to_batch_table`).
         let n_ua = self.space.microarchs.len();
         let mut perfs = vec![PhasePerf::default(); fss.len() * n_ua];
         for (fi, fs) in fss.iter().enumerate() {

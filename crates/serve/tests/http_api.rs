@@ -1,15 +1,19 @@
 //! Loopback integration tests: a real server on an ephemeral port, a
 //! raw `TcpStream` client, and the acceptance properties of the
 //! service — bit-identity with the batch path, online refinement with
-//! zero probes on the second hit, structured errors, deadlines.
+//! one probe per distinct compilation and zero probes on the second
+//! hit, structured errors, deadlines.
 
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
+use cisa_explore::profile::codegen_fingerprint;
 use cisa_explore::{
     probes_run, DesignId, DesignSpace, PerfTable, ShardedProfileStore, SweepRunner,
 };
+use cisa_isa::FeatureSet;
 use cisa_serve::json::{parse, Json};
 use cisa_serve::{ServeConfig, Server, ServerState};
 use cisa_workloads::PhaseSpec;
@@ -54,6 +58,27 @@ fn fresh_state() -> Arc<ServerState> {
         ShardedProfileStore::new(None),
         ServeConfig::default(),
     ))
+}
+
+/// Held by every test that probes after the shared fixture is built:
+/// [`probes_run`] is process-wide, so a probe-count delta is exact only
+/// while no other test in this binary probes.
+fn probe_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The phase a `{"spec":{"benchmark":"mcf",...}}` request refines: the
+/// benchmark's first phase with the request's fields overridden.
+fn mcf_spec(seed: u64, mem_intensity: f64, loop_trip: u32) -> PhaseSpec {
+    let mut spec = cisa_workloads::all_phases()
+        .into_iter()
+        .find(|p| p.benchmark == "mcf")
+        .expect("mcf phases");
+    spec.seed = seed;
+    spec.mem_intensity = mem_intensity;
+    spec.loop_trip = loop_trip;
+    spec
 }
 
 fn start_server() -> Server {
@@ -238,15 +263,44 @@ fn unknown_fingerprint_refines_once_then_serves_from_cache() {
     let body =
         r#"{"spec":{"benchmark":"mcf","seed":20260808,"mem_intensity":0.85,"loop_trip":64}}"#;
 
+    // Refinement probes each distinct compilation of the spec once:
+    // feature sets whose code is identical share one probe.
+    let spec = mcf_spec(20260808, 0.85, 64);
+    let ir = cisa_workloads::generate(&spec);
+    let distinct: BTreeSet<u64> = FeatureSet::all()
+        .iter()
+        .map(|fs| {
+            let code = cisa_compiler::compile(&ir, fs, &cisa_compiler::CompileOptions::default())
+                .expect("generated phases compile");
+            codegen_fingerprint(&code)
+        })
+        .collect();
+    assert!(
+        distinct.len() < 26,
+        "some feature sets share code ({} distinct)",
+        distinct.len()
+    );
+
+    let _probes = probe_lock();
     let before = probes_run();
+    let dedup_before = cisa_obs::snapshot().counter("probe/dedup_hit");
     let (status, v1) = post_affinity(server.addr(), body);
     assert_eq!(status, 200, "{v1:?}");
     assert_eq!(v1.get("source").and_then(Json::as_str), Some("refined"));
+    assert_eq!(
+        v1.get("fingerprint").and_then(Json::as_str),
+        Some(spec.fingerprint().as_str())
+    );
     let after_first = probes_run();
     assert_eq!(
         after_first - before,
-        26,
-        "refinement probes every feature set exactly once"
+        distinct.len() as u64,
+        "refinement probes each distinct compilation exactly once"
+    );
+    assert_eq!(
+        cisa_obs::snapshot().counter("probe/dedup_hit") - dedup_before,
+        26 - distinct.len() as u64,
+        "every other feature set reuses a measured profile"
     );
 
     let hits_before = cisa_obs::snapshot().counter("serve/affinity/row_hit");
@@ -265,6 +319,51 @@ fn unknown_fingerprint_refines_once_then_serves_from_cache() {
     assert_eq!(ranked1.len(), ranked2.len());
     for (a, b) in ranked1.iter().zip(ranked2) {
         assert_eq!(entry_bits(a), entry_bits(b));
+    }
+}
+
+#[test]
+fn refined_row_is_bit_identical_to_batch_table() {
+    let server = start_server();
+    // A spec no batch table has seen, refined online, then built into a
+    // one-phase table by the batch path.
+    let body = r#"{"spec":{"benchmark":"mcf","seed":20261018,"mem_intensity":0.6,"loop_trip":48},"objective":"edp"}"#;
+    let spec = mcf_spec(20261018, 0.6, 48);
+
+    let _probes = probe_lock();
+    let (status, v) = post_affinity(server.addr(), body);
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(v.get("source").and_then(Json::as_str), Some("refined"));
+    assert_eq!(
+        v.get("fingerprint").and_then(Json::as_str),
+        Some(spec.fingerprint().as_str())
+    );
+    let space = DesignSpace::new();
+    let (table, report) = PerfTable::build(&space, &[spec], &SweepRunner::new(1));
+    assert!(report.is_clean(), "{report:?}");
+
+    let ranked = v.get("ranked").and_then(Json::as_arr).expect("ranked");
+    assert_eq!(ranked.len(), 26, "one entry per feature set");
+    for entry in ranked {
+        let fs_name = entry
+            .get("feature_set")
+            .and_then(Json::as_str)
+            .expect("feature_set");
+        let fi = space
+            .feature_sets
+            .iter()
+            .position(|f| f.to_string() == fs_name)
+            .expect("known feature set");
+        let ua = entry.get("ua_index").and_then(Json::as_f64).expect("ua") as u16;
+        let expected = table.get(0, DesignId { fs: fi as u16, ua });
+        assert_eq!(
+            entry_bits(entry),
+            (
+                expected.cycles_per_unit.to_bits(),
+                expected.energy_per_unit.to_bits()
+            ),
+            "bits for {fs_name} ua {ua}"
+        );
     }
 }
 
