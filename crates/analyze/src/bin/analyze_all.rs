@@ -75,11 +75,12 @@ fn main() {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut local = Tally::default();
+                    let mut done = Vec::new();
                     let options = CompileOptions::default();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(spec) = phases.get(i) else { break };
+                        let mut local = Tally::default();
                         let ir = generate(spec);
                         for fs in &feature_sets {
                             let code = match compile(&ir, fs, &options) {
@@ -164,16 +165,30 @@ fn main() {
                                 }
                             }
                         }
+                        done.push((i, local));
                     }
-                    local
+                    done
                 })
             })
             .collect();
+        // Merge in phase order, so the violation listing is the same
+        // at any worker count and scheduling.
+        let mut per_phase = Vec::with_capacity(phases.len());
         for h in handles {
             match h.join() {
-                Ok(local) => tally.merge(local),
-                Err(_) => tally.violations.push("analyzer worker panicked".into()),
+                Ok(done) => per_phase.extend(done),
+                Err(_) => per_phase.push((
+                    usize::MAX,
+                    Tally {
+                        violations: vec!["analyzer worker panicked".into()],
+                        ..Tally::default()
+                    },
+                )),
             }
+        }
+        per_phase.sort_by_key(|(i, _)| *i);
+        for (_, local) in per_phase {
+            tally.merge(local);
         }
     });
 

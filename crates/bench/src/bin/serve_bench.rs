@@ -12,7 +12,7 @@
 //! The run fails (exit 1) if warm throughput drops below `1000 req/s`,
 //! or, with `--check <baseline.json>`, below 50% of the committed
 //! baseline ([`cisa_bench::ledger::SERVE`]) — an absolute floor plus a
-//! machine-relative gate, mirroring `bench_table`.
+//! machine-relative gate.
 //!
 //! Usage: `serve_bench [--out <path>] [--check <baseline.json>]
 //! [--requests N] [--clients C]`

@@ -4,9 +4,7 @@
 
 use std::path::PathBuf;
 
-use cisa_bench::ledger::{
-    baseline_number, Args, Bench, Record, Value, ALL, FLEET, PROBE, SERVE, TABLE,
-};
+use cisa_bench::ledger::{baseline_number, Args, Bench, Record, Value, ALL, FLEET, PROBE, SERVE};
 use cisa_bench::results_dir;
 
 fn args(bench: &Bench, extra: &[&str], argv: &[&str]) -> Result<Args, String> {
@@ -82,33 +80,40 @@ fn record_with(key: &str, x: f64) -> Record {
 
 #[test]
 fn hard_floor_fails_without_check() {
-    let v = TABLE.check(&record_with("speedup", 1.5), None);
+    let v = SERVE.check(&record_with("throughput_rps", 900.0), None);
     let v = v.expect("gated");
-    assert_eq!((v.len(), v[0].floor, v[0].passed()), (1, 2.0, false));
-    let v = TABLE.check(&record_with("speedup", 2.5), None);
+    assert_eq!((v.len(), v[0].floor, v[0].passed()), (1, 1000.0, false));
+    let v = SERVE.check(&record_with("throughput_rps", 1500.0), None);
     assert!(v.expect("gated")[0].passed());
 }
 
 #[test]
 fn retention_applies_only_with_check() {
-    let r = record_with("speedup", 3.0);
-    assert!(PROBE.check(&r, None).expect("gated")[0].passed());
-    let v = PROBE.check(&r, Some("{\"speedup\": 5.0}")).expect("gated");
-    assert_eq!((v[0].baseline, v[0].floor), (Some(5.0), 3.75));
+    let r = record_with("throughput_rps", 3000.0);
+    assert!(SERVE.check(&r, None).expect("gated")[0].passed());
+    let v = SERVE.check(&r, Some("{\"throughput_rps\": 8000.0}"));
+    let v = v.expect("gated");
+    assert_eq!((v[0].baseline, v[0].floor), (Some(8000.0), 4000.0));
     assert!(!v[0].passed());
     // The hard floor still wins over a small baseline.
-    let v = TABLE.check(&r, Some("{\"speedup\": 1.0}")).expect("gated");
-    assert_eq!((v[0].floor, v[0].passed()), (2.0, true));
+    let v = SERVE.check(&r, Some("{\"throughput_rps\": 1000.0}"));
+    let v = v.expect("gated");
+    assert_eq!((v[0].floor, v[0].passed()), (1000.0, true));
 }
 
 #[test]
 fn missing_gated_key_is_an_error_not_a_pass() {
-    let r = record_with("speedup", 9.0);
-    assert!(PROBE.check(&r, Some("{\"fused_sweep_s\": 1.0}")).is_err());
-    assert!(PROBE.check(&r, Some("not json")).is_err());
-    assert!(PROBE.check(&Record::new(), None).is_err());
-    let nan = record_with("speedup", f64::NAN);
-    assert!(!PROBE.check(&nan, None).expect("gated")[0].passed());
+    let r = record_with("throughput_rps", 9000.0);
+    assert!(SERVE.check(&r, Some("{\"p50_ms\": 1.0}")).is_err());
+    assert!(SERVE.check(&r, Some("not json")).is_err());
+    assert!(SERVE.check(&Record::new(), None).is_err());
+    let nan = record_with("throughput_rps", f64::NAN);
+    assert!(!SERVE.check(&nan, None).expect("gated")[0].passed());
+    // A bench gated on counts alone has no ratio gate to miss.
+    assert!(PROBE
+        .check(&Record::new(), None)
+        .expect("no gates")
+        .is_empty());
 }
 
 /// A record with the header, one count and one real.
@@ -121,35 +126,37 @@ fn counted(migrations: u64) -> Record {
 #[test]
 fn exact_counts_pass_only_on_equal_counts() {
     let baseline = "{\"schema\": 1, \"threads\": 64, \"migrations\": 111774, \"sim_s\": 3.1}";
-    // Equal counts pass; the header's worker count and reals are exempt.
-    let checks = FLEET.check_counts(&counted(111_774), Some(baseline));
-    let keys: Vec<&str> = checks.iter().map(|c| c.key.as_str()).collect();
-    assert_eq!(keys, ["schema", "migrations"]);
-    assert!(checks.iter().all(|c| c.passed()), "{checks:?}");
+    for bench in [PROBE, FLEET] {
+        let file = bench.file;
+        // Equal counts pass; the header's worker count and reals are exempt.
+        let checks = bench.check_counts(&counted(111_774), Some(baseline));
+        let keys: Vec<&str> = checks.iter().map(|c| c.key.as_str()).collect();
+        assert_eq!(keys, ["schema", "migrations"], "{file}");
+        assert!(checks.iter().all(|c| c.passed()), "{file}: {checks:?}");
 
-    // One count off fails, whichever way it moved.
-    for n in [111_773, 111_775] {
-        let checks = FLEET.check_counts(&counted(n), Some(baseline));
-        let failed: Vec<&str> = checks
-            .iter()
-            .filter(|c| !c.passed())
-            .map(|c| c.key.as_str())
-            .collect();
-        assert_eq!(failed, ["migrations"], "{n}");
+        // One count off fails, whichever way it moved.
+        for n in [111_773, 111_775] {
+            let checks = bench.check_counts(&counted(n), Some(baseline));
+            let failed: Vec<&str> = checks
+                .iter()
+                .filter(|c| !c.passed())
+                .map(|c| c.key.as_str())
+                .collect();
+            assert_eq!(failed, ["migrations"], "{file}: {n}");
+        }
+
+        // A count the baseline lacks, or an unreadable baseline, never passes.
+        let checks = bench.check_counts(&counted(111_774), Some("{\"schema\": 1}"));
+        assert!(!checks.iter().all(|c| c.passed()), "{file}");
+        let checks = bench.check_counts(&counted(111_774), Some("not json"));
+        assert!(checks.iter().all(|c| !c.passed()), "{file}");
+
+        // Only under `--check`.
+        assert!(bench.check_counts(&counted(1), None).is_empty(), "{file}");
     }
 
-    // A count the baseline lacks, or an unreadable baseline, never passes.
-    let checks = FLEET.check_counts(&counted(111_774), Some("{\"schema\": 1}"));
-    assert!(!checks.iter().all(|c| c.passed()));
-    let checks = FLEET.check_counts(&counted(111_774), Some("not json"));
-    assert!(checks.iter().all(|c| !c.passed()));
-
-    // Only under `--check`, and only for a bench that opts in.
-    assert!(FLEET.check_counts(&counted(1), None).is_empty());
-    for bench in [PROBE, TABLE, SERVE] {
-        assert!(!bench.exact_counts, "{}", bench.file);
-        assert!(bench.check_counts(&counted(1), Some(baseline)).is_empty());
-    }
+    // Only for a bench that opts in.
+    assert!(SERVE.check_counts(&counted(1), Some(baseline)).is_empty());
 }
 
 /// Every key a gate reads parses to a finite number in its committed

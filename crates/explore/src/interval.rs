@@ -337,8 +337,7 @@ const BLOCK: usize = 64;
 ///
 /// Bit-identity with the scalar path — `out[i] == evaluate(p,
 /// &microarchs[i], &microarchs[i].with_fs(fs))` for every lane — is
-/// enforced by the `interval_block` test suite and re-asserted by
-/// `bench_table` on every benchmark run.
+/// enforced by the `interval_block` test suite.
 ///
 /// # Panics
 ///

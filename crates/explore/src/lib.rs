@@ -49,8 +49,7 @@ pub use multicore::{
     reference_design, search, Budget, CoreChoice, Evaluator, Objective, SearchConfig, SearchResult,
 };
 pub use profile::{
-    codegen_fingerprint, probe, probe_reference, probes_run, PhaseProfile, StoreForwardTable,
-    PROBE_UOPS,
+    codegen_fingerprint, probe, probes_run, PhaseProfile, StoreForwardTable, PROBE_UOPS,
 };
 pub use runner::{
     par_map, par_map_isolated, threads, ItemError, ProbeDedup, SweepReport, SweepRunner,

@@ -64,7 +64,7 @@ fn evaluate_cell(space: &DesignSpace, fi: usize, prof: &PhaseProfile) -> Cell {
 /// Scalar-oracle twin of [`evaluate_cell`]: one [`evaluate`] call per
 /// design point, exactly as table builds ran before the batched path
 /// existed. Retained as the executable bit-identity reference for the
-/// `interval_block` suite and the `bench_table` speedup baseline.
+/// `interval_block` suite.
 fn evaluate_cell_reference(space: &DesignSpace, fi: usize, prof: &PhaseProfile) -> Cell {
     let fs = space.feature_sets[fi];
     let perfs: Vec<PhasePerf> = space
@@ -155,7 +155,7 @@ impl PerfTable {
     /// Builds the table from an already-probed profile grid — row-major
     /// `[phase][fs]`, as [`SweepRunner::profile_grid`] returns — with
     /// the batched block evaluator. This is the pure model-evaluation
-    /// half of a build (no probing, no I/O): `bench_table` times it
+    /// half of a build (no probing, no I/O): `bench_probe` times it
     /// warm, and the `interval_block` suite compares it entry-for-entry
     /// against [`PerfTable::from_profile_grid_reference`].
     ///
@@ -172,8 +172,7 @@ impl PerfTable {
 
     /// Scalar-oracle twin of [`PerfTable::from_profile_grid`]: fills
     /// every entry with one [`evaluate`] call per design point. Kept as
-    /// the executable bit-identity reference and the `bench_table`
-    /// speedup baseline.
+    /// the executable bit-identity reference.
     ///
     /// # Panics
     ///

@@ -1,5 +1,6 @@
 //! Acceptance tests for the fused single-pass probe: bit-identity
-//! against the multi-pass reference implementation, the bounded
+//! against the multi-pass reference implementation (case by case, and
+//! for the whole grid through a pinned digest), the bounded
 //! store-forwarding table regression, and codegen-fingerprint dedup.
 
 use std::collections::HashMap;
@@ -41,7 +42,7 @@ fn fused_probe_is_bit_identical_to_reference() {
         "microx86-16D-32W".parse().unwrap(),
         "x86-16D-64W-P".parse().unwrap(),
     ];
-    for bench in ["mcf", "sjeng", "lbm"] {
+    for bench in ["mcf", "sjeng", "lbm", "hmmer"] {
         let spec = phase(bench);
         for fs in feature_sets {
             let code = compiled(&spec, fs);
@@ -54,6 +55,35 @@ fn fused_probe_is_bit_identical_to_reference() {
             );
         }
     }
+}
+
+/// FNV-1a digest of [`full_grid_matches_pinned_digest`]'s grid. It was
+/// taken on code whose fused sweep was asserted bit-identical to the
+/// multi-pass reference on all 1,274 pairs, so a match pins the whole
+/// grid to the reference's bits.
+const GRID_DIGEST: u64 = 0x67ac_d7c8_5540_82a3;
+
+/// The full 49-phase x 26-feature-set grid from
+/// [`SweepRunner::profile_grid`] (fused probe, codegen dedup), hashed
+/// with a hand-rolled 64-bit FNV-1a (stable across Rust versions) over
+/// every profile's `to_values()` bit patterns, row-major. Any change to
+/// any probe measurement of any pair moves the digest.
+#[test]
+fn full_grid_matches_pinned_digest() {
+    let _guard = PROBE_COUNTER.lock().unwrap();
+    let phases = all_phases();
+    let space = DesignSpace::new();
+    let grid = SweepRunner::default().profile_grid(&phases, &space.feature_sets);
+    assert_eq!(grid.len(), 1274);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for profile in &grid {
+        for x in profile.to_values() {
+            for b in x.to_bits().to_le_bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(digest, GRID_DIGEST, "grid digest {digest:#018x}");
 }
 
 /// Satellite regression: the bounded [`StoreForwardTable`] reproduces

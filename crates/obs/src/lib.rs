@@ -24,13 +24,10 @@
 //!
 //! # Switching it off
 //!
-//! * **Runtime**: set `CISA_OBS=0` (or `false` / `off`) in the
-//!   environment, or call [`set_enabled`]`(false)`. Disabled calls cost
-//!   one relaxed atomic load.
-//! * **Compile time**: enable the `noop` cargo feature — every
-//!   recording function becomes an empty inlineable stub and the layer
-//!   vanishes from the binary. The `obs_overhead` bench in `cisa-bench`
-//!   pins both costs.
+//! Set `CISA_OBS=0` (or `false` / `off`) in the environment, or call
+//! [`set_enabled`]`(false)`. Disabled calls cost one relaxed atomic
+//! load; the `obs_overhead` bench in `cisa-bench` pins the cost of
+//! leaving it on.
 //!
 //! The full name catalogue — every span, counter, and histogram emitted
 //! by the workspace, with units and cardinality — lives in the
@@ -164,13 +161,10 @@ fn env_enabled() -> bool {
 
 /// Returns whether recording is currently active.
 ///
-/// `false` when built with the `noop` feature, when `CISA_OBS=0` is in
-/// the environment, or after [`set_enabled`]`(false)`.
+/// `false` when `CISA_OBS=0` is in the environment, or after
+/// [`set_enabled`]`(false)`.
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "noop") {
-        return false;
-    }
     if ENABLED_OVERRIDE.load(Ordering::Relaxed) {
         ENABLED.load(Ordering::Relaxed)
     } else {
@@ -179,8 +173,6 @@ pub fn enabled() -> bool {
 }
 
 /// Overrides the `CISA_OBS` environment knob at runtime.
-///
-/// Has no effect under the `noop` feature (the layer is compiled out).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
     ENABLED_OVERRIDE.store(true, Ordering::Relaxed);

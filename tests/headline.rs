@@ -1,6 +1,8 @@
 //! Headline results: the paper's core claims, checked end-to-end on a
-//! reduced (one-phase-per-benchmark) table so the test completes in
-//! about a minute.
+//! reduced (one-phase-per-benchmark) table. Under plain `cargo test`
+//! the suite took 23–27 s on a 2-vCPU VM; the root `Cargo.toml` builds
+//! the probe and simulator crates at `opt-level = 2` in the dev
+//! profile, without which it takes over 200 s.
 //!
 //! Paper (Section VII): composite-ISA designs consistently outperform
 //! single-ISA heterogeneous designs, match-or-beat vendor
