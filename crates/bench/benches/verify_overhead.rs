@@ -49,7 +49,6 @@ fn main() {
         "verify/compile_off",
         &CompileOptions {
             verify: VerifyLevel::Off,
-            ..Default::default()
         },
     );
     let default = run("verify/compile_default", &CompileOptions::default());
@@ -57,7 +56,6 @@ fn main() {
         "verify/compile_full",
         &CompileOptions {
             verify: VerifyLevel::Full,
-            ..Default::default()
         },
     );
 

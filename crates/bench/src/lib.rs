@@ -1,18 +1,20 @@
 //! # cisa-bench: the experiment harness
 //!
 //! One binary per table and figure of the paper's evaluation section
-//! (see DESIGN.md's experiment index), all sharing a cached
-//! (phase x design-point) performance table so the expensive probing
-//! pass runs once.
+//! (see DESIGN.md's experiment index), all building the
+//! (phase x design-point) performance table through one shared probe
+//! cache so the expensive probing pass runs once.
 //!
 //! Run any experiment with `cargo run --release -p cisa-bench --bin
-//! <experiment>`; the first run builds `results/perf_table.bin`.
+//! <experiment>`; the first run fills the probe cache in
+//! `results/cache/`.
 
 use std::io::{Read, Write};
 use std::path::PathBuf;
 
 use cisa_explore::multicore::{Budget, Evaluator, SearchConfig};
 use cisa_explore::{DesignSpace, PerfTable, SweepRunner};
+use cisa_workloads::all_phases;
 
 /// Where cached sweep results and experiment outputs live.
 pub fn results_dir() -> PathBuf {
@@ -25,7 +27,7 @@ pub fn results_dir() -> PathBuf {
     p.join("results")
 }
 
-/// The experiment harness: design space + shared sweep runner + cached
+/// The experiment harness: design space + shared sweep runner +
 /// performance table.
 pub struct Harness {
     /// The 26 x 180 design space.
@@ -38,18 +40,18 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Loads the cached table or builds it (expensive on first run;
-    /// parallel across `CISA_THREADS` workers, incremental through the
-    /// probe cache in `results/cache/`).
+    /// Builds the table over all phases (parallel across
+    /// `CISA_THREADS` workers, through the probe cache in
+    /// `results/cache/`: expensive on the first run, a fast rebuild
+    /// from cached probes on every later one).
     pub fn load() -> Self {
         let space = DesignSpace::new();
-        let runner = SweepRunner::from_env(results_dir().join("cache"));
-        let path = results_dir().join("perf_table.bin");
+        let cache_dir = results_dir().join("cache");
+        let runner = SweepRunner::from_env(&cache_dir);
         let started = std::time::Instant::now();
-        let existed = path.exists();
-        let (table, report) = PerfTable::load_or_build(&space, &path, &runner);
-        if !existed {
-            let (hits, misses, _) = runner.cache().map_or((0, 0, 0), |c| c.stats());
+        let (table, report) = PerfTable::build(&space, &all_phases(), &runner);
+        let (hits, misses, _) = runner.cache().map_or((0, 0, 0), |c| c.stats());
+        if misses > 0 {
             eprintln!(
                 "[harness] built perf table ({} phases x {} designs) in {:.1}s \
                  on {} threads ({} cached probes, {} fresh) -> {}",
@@ -59,10 +61,10 @@ impl Harness {
                 runner.threads(),
                 hits,
                 misses,
-                path.display()
+                cache_dir.display()
             );
         }
-        if let Some(report) = report.filter(|r| !r.is_clean()) {
+        if !report.is_clean() {
             eprintln!("[harness] table build faults: {}", report.summary());
             for e in &report.failed {
                 eprintln!("[harness]   failed {e}");

@@ -30,9 +30,6 @@ use crate::verify::{self, VerifyError, VerifyLevel};
 /// Options controlling a compilation.
 #[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
-    /// If-conversion profitability knobs (used only when the target has
-    /// full predication).
-    pub ifconvert: IfConvertConfig,
     /// Staged verification after each pipeline phase. Defaults to
     /// `Full` in debug builds and tests, `Off` in release.
     pub verify: VerifyLevel,
@@ -111,7 +108,7 @@ pub fn compile(
     let ifc_stats = if fs.predication() == Predication::Full {
         let stats = {
             let _s = cisa_obs::span("ifconvert");
-            if_convert(&mut ir, &options.ifconvert)
+            if_convert(&mut ir, &IfConvertConfig::default())
         };
         if checked {
             let _s = cisa_obs::span("verify");

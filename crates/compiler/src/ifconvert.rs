@@ -17,16 +17,17 @@
 
 use crate::ir::{BranchPattern, IrBlock, IrFunction, Terminator};
 
-/// Profitability knobs for if-conversion.
+/// Profitability knobs for if-conversion. Compiles always use the
+/// default; the fields vary only in this module's tests.
 #[derive(Debug, Clone, Copy)]
-pub struct IfConvertConfig {
+pub(crate) struct IfConvertConfig {
     /// Pipeline depth: the cycles lost to a branch misprediction.
-    pub mispredict_penalty: f64,
+    mispredict_penalty: f64,
     /// Approximate sustained IPC of the target; converts extra
     /// instructions into cycles.
-    pub ipc_hint: f64,
+    ipc_hint: f64,
     /// Maximum hoistable block size (instructions).
-    pub max_block_size: usize,
+    max_block_size: usize,
 }
 
 impl Default for IfConvertConfig {

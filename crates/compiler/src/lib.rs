@@ -34,7 +34,7 @@ pub mod verify;
 pub use cfg::{is_reducible, natural_loops, Dominators, NaturalLoop};
 pub use code::{CodeStats, CompiledBlock, CompiledCode};
 pub use driver::{compile, CompileError, CompileOptions};
-pub use ifconvert::{IfConvertConfig, IfConvertStats};
+pub use ifconvert::IfConvertStats;
 pub use regalloc::RegAllocStats;
 pub use select_features::{select_feature_set, FeatureChoice};
 pub use verify::{VerifyError, VerifyLevel, VerifyPass};

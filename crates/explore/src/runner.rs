@@ -347,13 +347,12 @@ impl ProbeDedup {
 ///
 /// Experiment binaries get one from [`SweepRunner::from_env`] (threads
 /// from `CISA_THREADS`, cache under the given results directory) and
-/// pass it to [`crate::table::PerfTable::load_or_build`]; sweeps of
-/// their own call [`par_map`] (or [`par_map_isolated`]) with
+/// pass it to [`crate::table::PerfTable::build`]; sweeps of their own
+/// call [`par_map`] (or [`par_map_isolated`]) with
 /// [`SweepRunner::threads`] (and [`SweepRunner::retries`]). Robustness
-/// tests attach a
-/// [`FaultPlan`] with [`SweepRunner::with_faults`]; without one, the
-/// fault-checking paths collapse to the plain ones and results are
-/// bit-identical to an unhardened runner.
+/// tests attach a [`FaultPlan`] with [`SweepRunner::with_faults`];
+/// without one, the fault-checking paths collapse to the plain ones and
+/// results are bit-identical to an unhardened runner.
 #[derive(Debug)]
 pub struct SweepRunner {
     n_threads: usize,

@@ -9,8 +9,10 @@
 //! Table II (Thumb's code compression and missing FP, Alpha's extra FP
 //! registers and fixed-length decode).
 //!
-//! Tables can be cached to disk in a simple versioned binary format so
-//! the experiment harness pays the build cost once.
+//! A table is never stored: it is a pure function of its probes, so a
+//! warm rebuild is the probe-cache reads plus the interval-model fill
+//! (tens of milliseconds), and an edit to the interval or power model,
+//! [`vendor_adjust`] or the phase specs takes effect on the next build.
 //!
 //! The table is the substrate of every system-level experiment:
 //! Figures 5-13 and 15 and Tables III-IV all read their
@@ -18,11 +20,8 @@
 //! [`SweepRunner`], so they parallelize across `CISA_THREADS` workers
 //! and reuse probes from the on-disk [`crate::cache::ProfileCache`].
 
-use std::io::{Read, Write};
-use std::path::Path;
-
 use cisa_isa::VendorIsa;
-use cisa_workloads::{all_phases, PhaseSpec};
+use cisa_workloads::PhaseSpec;
 
 use crate::interval::{evaluate, evaluate_block, PhasePerf};
 use crate::profile::PhaseProfile;
@@ -88,9 +87,6 @@ fn evaluate_cell_reference(space: &DesignSpace, fi: usize, prof: &PhaseProfile) 
     Cell { perfs, vendor }
 }
 
-/// Magic+version header for the on-disk format.
-const MAGIC: u64 = 0xC15A_7AB1_0000_0005;
-
 /// The evaluated design-space table.
 #[derive(Debug, Clone)]
 pub struct PerfTable {
@@ -109,10 +105,10 @@ pub struct PerfTable {
 }
 
 impl PerfTable {
-    /// Builds the table for `phases` on `runner` (expensive: probes
-    /// every (phase, feature set) pair; cache with [`PerfTable::save`]
-    /// or use [`PerfTable::load_or_build`]), returning the sweep's
-    /// fault report alongside.
+    /// Builds the table for `phases` on `runner`, returning the sweep's
+    /// fault report alongside. Cold, this probes every (phase, feature
+    /// set) pair; a runner with a probe cache serves a warm rebuild
+    /// from disk without probing.
     ///
     /// Each (phase, feature set) cell — one probe, 180 interval-model
     /// evaluations, plus any derived vendor-ISA row — is an independent
@@ -276,102 +272,6 @@ impl PerfTable {
             .expect("known vendor");
         self.vendor_entries[(phase * 3 + vi) * self.n_ua + ua]
     }
-
-    /// Saves to the versioned binary format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        let w64 = |x: u64, f: &mut dyn Write| f.write_all(&x.to_le_bytes());
-        w64(MAGIC, &mut f)?;
-        w64(self.n_ua as u64, &mut f)?;
-        w64(self.n_fs as u64, &mut f)?;
-        w64(self.n_phases as u64, &mut f)?;
-        f.write_all(&self.phase_benchmarks)?;
-        for e in self.entries.iter().chain(&self.vendor_entries) {
-            f.write_all(&e.cycles_per_unit.to_le_bytes())?;
-            f.write_all(&e.energy_per_unit.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Loads from disk; `None` on a missing file or format mismatch.
-    pub(crate) fn load(path: &Path) -> Option<Self> {
-        let mut f = std::io::BufReader::new(std::fs::File::open(path).ok()?);
-        let r64 = |f: &mut dyn Read| -> Option<u64> {
-            let mut b = [0u8; 8];
-            f.read_exact(&mut b).ok()?;
-            Some(u64::from_le_bytes(b))
-        };
-        if r64(&mut f)? != MAGIC {
-            return None;
-        }
-        let n_ua = r64(&mut f)? as usize;
-        let n_fs = r64(&mut f)? as usize;
-        let n_phases = r64(&mut f)? as usize;
-        let mut phase_benchmarks = vec![0u8; n_phases];
-        f.read_exact(&mut phase_benchmarks).ok()?;
-        let n_main = n_phases * n_fs * n_ua;
-        let n_vendor = n_phases * 3 * n_ua;
-        let read_perf = |f: &mut dyn Read| -> Option<PhasePerf> {
-            let mut b = [0u8; 16];
-            f.read_exact(&mut b).ok()?;
-            Some(PhasePerf {
-                cycles_per_unit: f64::from_le_bytes(b[..8].try_into().ok()?),
-                energy_per_unit: f64::from_le_bytes(b[8..].try_into().ok()?),
-            })
-        };
-        let mut entries = Vec::with_capacity(n_main);
-        for _ in 0..n_main {
-            entries.push(read_perf(&mut f)?);
-        }
-        let mut vendor_entries = Vec::with_capacity(n_vendor);
-        for _ in 0..n_vendor {
-            vendor_entries.push(read_perf(&mut f)?);
-        }
-        Some(PerfTable {
-            n_ua,
-            n_fs,
-            n_phases,
-            phase_benchmarks,
-            entries,
-            vendor_entries,
-        })
-    }
-
-    /// Loads the full all-phase table from `path` if present and
-    /// matching `space`; otherwise builds it on `runner` (probing
-    /// through the runner's cache and thread pool) and saves it. This
-    /// is the entry point the experiment harness uses.
-    ///
-    /// The report is `None` when the table came from disk and
-    /// `Some(report)` when it was built. A table with failed cells is
-    /// **not** persisted — a later run rebuilds rather than serving
-    /// zeros from disk forever.
-    pub fn load_or_build(
-        space: &DesignSpace,
-        path: &Path,
-        runner: &SweepRunner,
-    ) -> (Self, Option<SweepReport>) {
-        if let Some(t) = Self::load(path) {
-            if t.n_ua == space.microarchs.len()
-                && t.n_fs == space.feature_sets.len()
-                && t.n_phases == all_phases().len()
-            {
-                return (t, None);
-            }
-        }
-        let (t, report) = Self::build(space, &all_phases(), runner);
-        if report.failed.is_empty() {
-            if let Some(dir) = path.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            let _ = t.save(path);
-        }
-        (t, Some(report))
-    }
 }
 
 /// Applies the behavioural deltas of a vendor ISA to its x86-ized
@@ -443,6 +343,7 @@ mod tests {
     use super::*;
     use crate::space::DesignSpace;
     use cisa_isa::Complexity;
+    use cisa_workloads::all_phases;
 
     fn small_table() -> (DesignSpace, PerfTable, Vec<PhaseSpec>) {
         let space = DesignSpace::new();
@@ -453,35 +354,6 @@ mod tests {
             .collect();
         let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
         (space, table, phases)
-    }
-
-    #[test]
-    fn table_roundtrips_through_disk() {
-        let (_, table, _) = small_table();
-        let dir = std::env::temp_dir().join("cisa_table_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.bin");
-        table.save(&path).unwrap();
-        let loaded = PerfTable::load(&path).unwrap();
-        assert_eq!(loaded.n_ua, table.n_ua);
-        let id = DesignId { fs: 5, ua: 60 };
-        assert_eq!(loaded.get(0, id), table.get(0, id));
-        assert_eq!(
-            loaded.vendor(1, VendorIsa::Thumb, 3),
-            table.vendor(1, VendorIsa::Thumb, 3)
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("cisa_table_test2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.bin");
-        std::fs::write(&path, b"not a table").unwrap();
-        assert!(PerfTable::load(&path).is_none());
-        assert!(PerfTable::load(&dir.join("missing.bin")).is_none());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

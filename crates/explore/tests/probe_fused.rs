@@ -33,7 +33,7 @@ fn phase(bench: &str) -> PhaseSpec {
 /// characters (pointer-chasing, irregular branches, vectorizable FP)
 /// and across complexities/widths/predication. Because the perf table
 /// is a deterministic function of the profiles, profile bit-identity
-/// carries over to `perf_table.bin`.
+/// carries over to every table entry.
 #[test]
 fn fused_probe_is_bit_identical_to_reference() {
     let _guard = PROBE_COUNTER.lock().unwrap();

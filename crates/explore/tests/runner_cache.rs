@@ -3,7 +3,10 @@
 //! probing entirely.
 
 use cisa_explore::profile::probes_run;
-use cisa_explore::{DesignId, DesignSpace, FaultPlan, PerfTable, ProfileCache, SweepRunner};
+use cisa_explore::{
+    DesignId, DesignSpace, FaultPlan, PerfTable, PhasePerf, ProfileCache, SweepRunner,
+};
+use cisa_isa::VendorIsa;
 use cisa_workloads::all_phases;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -24,6 +27,36 @@ fn bits(profiles: &[cisa_explore::profile::PhaseProfile]) -> Vec<u64> {
         .iter()
         .flat_map(|p| p.to_values().map(f64::to_bits))
         .collect()
+}
+
+/// Asserts two tables are bit-identical: same shape and phase rows, and
+/// every composite and vendor entry equal by `to_bits()`.
+fn assert_same_table(a: &PerfTable, b: &PerfTable, what: &str) {
+    assert_eq!(
+        (a.n_ua, a.n_fs, a.n_phases),
+        (b.n_ua, b.n_fs, b.n_phases),
+        "{what}: shape"
+    );
+    assert_eq!(a.phase_benchmarks, b.phase_benchmarks, "{what}: phase rows");
+    let bits = |p: PhasePerf| (p.cycles_per_unit.to_bits(), p.energy_per_unit.to_bits());
+    for pi in 0..a.n_phases {
+        for fs in 0..a.n_fs as u16 {
+            for ua in 0..a.n_ua as u16 {
+                let id = DesignId { fs, ua };
+                assert_eq!(
+                    bits(a.get(pi, id)),
+                    bits(b.get(pi, id)),
+                    "{what}: {pi} {id:?}"
+                );
+            }
+        }
+        for v in VendorIsa::ALL {
+            for ua in 0..a.n_ua {
+                let (x, y) = (a.vendor(pi, v, ua), b.vendor(pi, v, ua));
+                assert_eq!(bits(x), bits(y), "{what}: {pi} {v:?} ua {ua}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -51,17 +84,7 @@ fn parallel_table_build_is_bit_identical_to_serial() {
     let space = DesignSpace::new();
     let (serial, _) = PerfTable::build(&space, &phases, &SweepRunner::new(1));
     let (parallel, _) = PerfTable::build(&space, &phases, &SweepRunner::new(4));
-    assert_eq!(serial.n_phases, parallel.n_phases);
-
-    // Compare through the on-disk format: byte-identical tables.
-    let dir = scratch("table-determinism");
-    std::fs::create_dir_all(&dir).unwrap();
-    serial.save(&dir.join("serial.bin")).unwrap();
-    parallel.save(&dir.join("parallel.bin")).unwrap();
-    let a = std::fs::read(dir.join("serial.bin")).unwrap();
-    let b = std::fs::read(dir.join("parallel.bin")).unwrap();
-    assert_eq!(a, b, "table bytes must not depend on thread count");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_same_table(&serial, &parallel, "4 threads vs 1");
 }
 
 #[test]
@@ -131,10 +154,14 @@ fn warm_cache_rerun_does_zero_probes() {
 /// forced worker panics. The table build must complete, report exactly
 /// the corrupted and poisoned items, absorb the transient panics
 /// through retry, and keep every surviving row bit-identical to a
-/// fault-free build.
+/// fault-free build. The faulted runner writes through a probe cache,
+/// and a clean runner over the same directory must then build a clean
+/// table bit-identical to the fault-free one: a faulted sweep cannot
+/// poison the cache every later build reads.
 #[test]
 fn faulted_table_build_degrades_gracefully_and_reports_exactly() {
     let _guard = PROBE_COUNTER.lock().unwrap();
+    let dir = scratch("faulted-build");
     let phases: Vec<_> = all_phases().into_iter().take(2).collect();
     let space = DesignSpace::new();
     let n_fs = space.feature_sets.len();
@@ -176,7 +203,9 @@ fn faulted_table_build_degrades_gracefully_and_reports_exactly() {
         .filter(|i| !failed.contains(i))
         .take(2)
         .collect();
-    let runner = SweepRunner::new(2).with_faults(plan.with_forced_panics(&panics));
+    let runner = SweepRunner::new(2)
+        .with_cache(ProfileCache::new(&dir))
+        .with_faults(plan.with_forced_panics(&panics));
     let (faulted, report) = PerfTable::build(&space, &phases, &runner);
 
     // Exact accounting: corrupted and poisoned items fail after
@@ -207,12 +236,18 @@ fn faulted_table_build_degrades_gracefully_and_reports_exactly() {
             }
         }
     }
+
+    let clean_runner = SweepRunner::new(2).with_cache(ProfileCache::new(&dir));
+    let (rebuilt, report) = PerfTable::build(&space, &phases, &clean_runner);
+    assert!(report.is_clean(), "{}", report.summary());
+    assert_same_table(&rebuilt, &base, "clean rebuild over the faulted cache");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Torn cache writes: a runner that tears every entry it stores still
 /// builds a clean table (the tear lands after the probe), and a clean
 /// runner over the same directory reads every torn entry as a miss,
-/// re-probes it, and produces a table byte-identical to a cacheless
+/// re-probes it, and produces a table bit-identical to a cacheless
 /// build.
 #[test]
 fn torn_cache_entries_are_reprobed_byte_identically() {
@@ -247,20 +282,13 @@ fn torn_cache_entries_are_reprobed_byte_identically() {
         "every torn entry must be re-probed"
     );
 
-    std::fs::create_dir_all(&dir).unwrap();
-    for (name, table) in [("base", &base), ("cold", &cold), ("warm", &warm)] {
-        table.save(&dir.join(format!("{name}.bin"))).unwrap();
-    }
-    let base_bytes = std::fs::read(dir.join("base.bin")).unwrap();
-    for name in ["cold", "warm"] {
-        let bytes = std::fs::read(dir.join(format!("{name}.bin"))).unwrap();
-        assert_eq!(bytes, base_bytes, "{name} table must match the base");
-    }
+    assert_same_table(&cold, &base, "cold");
+    assert_same_table(&warm, &base, "warm");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An armed-but-inert fault plan (no rates, no panic items) must leave
-/// the build byte-identical to a runner with no plan at all — the
+/// the build bit-identical to a runner with no plan at all — the
 /// fault machinery costs nothing on the fault-free path.
 #[test]
 fn inert_fault_plan_build_is_byte_identical() {
@@ -272,56 +300,5 @@ fn inert_fault_plan_build_is_byte_identical() {
     let (armed, report) = PerfTable::build(&space, &phases, &armed_runner);
     assert!(report.is_clean(), "{}", report.summary());
     assert_eq!(report.retried, 0);
-
-    let dir = scratch("inert-plan-identity");
-    std::fs::create_dir_all(&dir).unwrap();
-    plain.save(&dir.join("plain.bin")).unwrap();
-    armed.save(&dir.join("armed.bin")).unwrap();
-    let a = std::fs::read(dir.join("plain.bin")).unwrap();
-    let b = std::fs::read(dir.join("armed.bin")).unwrap();
-    assert_eq!(a, b, "inert fault plan must not perturb table bytes");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A table with failed cells is never persisted: `load_or_build` on a
-/// faulted runner reports the failures and leaves `path` absent; a
-/// clean runner then builds and writes the table, and a third call is
-/// served from disk without probing. The space is narrowed to one
-/// feature set so the all-phase build stays cheap.
-#[test]
-fn load_or_build_never_persists_a_faulted_table() {
-    let _guard = PROBE_COUNTER.lock().unwrap();
-    let mut space = DesignSpace::new();
-    let n_ua = space.microarchs.len();
-    space.feature_sets.truncate(1);
-    space.budgets.truncate(n_ua);
-    space.peak_w.truncate(n_ua);
-    let dir = scratch("load-or-build-faults");
-    let path = dir.join("perf_table.bin");
-
-    let plan = FaultPlan::new(0x15A_F422).with_stream_corruption(0.1);
-    let faulted_runner = SweepRunner::new(2).with_faults(plan);
-    let (_, report) = PerfTable::load_or_build(&space, &path, &faulted_runner);
-    let report = report.expect("a cold call builds");
-    assert!(!report.failed.is_empty(), "{}", report.summary());
-    assert!(!path.exists(), "a faulted table must not be written");
-
-    let (built, report) = PerfTable::load_or_build(&space, &path, &SweepRunner::new(2));
-    let report = report.expect("nothing on disk yet, so the call builds");
-    assert!(report.is_clean(), "{}", report.summary());
-    assert!(path.exists(), "a clean table is written");
-
-    let before = probes_run();
-    let (loaded, report) = PerfTable::load_or_build(&space, &path, &SweepRunner::new(2));
-    assert!(report.is_none(), "the third call loads from disk");
-    assert_eq!(probes_run(), before, "loading must not probe");
-    for pi in 0..built.n_phases {
-        for ua in 0..n_ua as u16 {
-            let id = DesignId { fs: 0, ua };
-            let (l, b) = (loaded.get(pi, id), built.get(pi, id));
-            assert_eq!(l.cycles_per_unit.to_bits(), b.cycles_per_unit.to_bits());
-            assert_eq!(l.energy_per_unit.to_bits(), b.energy_per_unit.to_bits());
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_same_table(&armed, &plain, "inert fault plan");
 }

@@ -33,5 +33,5 @@ pub mod verify;
 pub use classes::{classify_migration, MigrationClass, MigrationCost};
 pub use downgrade::{downgrade_cost, emulate, EmulationStats};
 pub use error::MigrateError;
-pub use migration::{MigrationConfig, MigrationReport, MigrationSim};
+pub use migration::{MigrationReport, MigrationSim};
 pub use points::{classify_migration_with, MigrationPoint, MigrationPointMap};

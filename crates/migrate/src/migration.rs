@@ -22,29 +22,15 @@ use cisa_workloads::all_phases;
 use crate::downgrade::downgrade_cost;
 use crate::error::MigrateError;
 
-/// Knobs of the migration replay.
-#[derive(Debug, Clone, Copy)]
-pub struct MigrationConfig {
-    /// Cycles charged per migration within the composite-ISA chip
-    /// (register state move + cold caches).
-    pub migration_cycles: f64,
-    /// Scheduling steps replayed per workload mix.
-    pub steps: usize,
-    /// Units of phase work per scheduling interval. SimPoint intervals
-    /// are long (hundreds of millions of instructions), so migration
-    /// costs amortize over many units of work.
-    pub units_per_step: f64,
-}
-
-impl Default for MigrationConfig {
-    fn default() -> Self {
-        MigrationConfig {
-            migration_cycles: 30_000.0,
-            steps: 12,
-            units_per_step: 50.0,
-        }
-    }
-}
+/// Cycles charged per migration within the composite-ISA chip
+/// (register state move + cold caches).
+const MIGRATION_CYCLES: f64 = 30_000.0;
+/// Scheduling steps replayed per workload mix.
+const STEPS: usize = 12;
+/// Units of phase work per scheduling interval. SimPoint intervals are
+/// long (hundreds of millions of instructions), so migration costs
+/// amortize over many units of work.
+const UNITS_PER_STEP: f64 = 50.0;
 
 /// Outcome of a migration replay.
 #[derive(Debug, Clone, Default)]
@@ -92,17 +78,15 @@ fn gap_label(gap: &DowngradeGap) -> &'static str {
 /// The migration replay engine.
 pub struct MigrationSim<'a> {
     eval: &'a Evaluator<'a>,
-    config: MigrationConfig,
     /// Cache of measured downgrade costs per (benchmark, from, to).
     cost_cache: HashMap<(usize, FeatureSet, FeatureSet), f64>,
 }
 
 impl<'a> MigrationSim<'a> {
     /// Creates a replay over the evaluator's workload mixes.
-    pub fn new(eval: &'a Evaluator<'a>, config: MigrationConfig) -> Self {
+    pub fn new(eval: &'a Evaluator<'a>) -> Self {
         MigrationSim {
             eval,
-            config,
             cost_cache: HashMap::new(),
         }
     }
@@ -177,7 +161,6 @@ impl<'a> MigrationSim<'a> {
     pub fn replay(&mut self, cores: &[CoreChoice; 4]) -> Result<MigrationReport, MigrateError> {
         let mut report = MigrationReport::default();
         let combos = self.eval.combos.clone();
-        let steps = self.config.steps;
         let binary_fs: Vec<FeatureSet> = (0..self.eval.bench_phases.len())
             .map(|b| self.binary_feature_set(b, cores))
             .collect();
@@ -187,7 +170,7 @@ impl<'a> MigrationSim<'a> {
         let mut count = 0usize;
         for combo in &combos {
             let mut prev_assign: Option<[usize; 4]> = None;
-            for step in 0..steps {
+            for step in 0..STEPS {
                 let phases = combo.map(|b| {
                     let ps = &self.eval.bench_phases[b as usize];
                     ps[step % ps.len()]
@@ -216,12 +199,11 @@ impl<'a> MigrationSim<'a> {
                     let free_speed = self.eval.ref_time[p] / perf.cycles_per_unit;
                     free_total += free_speed;
 
-                    let units = self.config.units_per_step;
-                    let mut time = perf.cycles_per_unit * units;
+                    let mut time = perf.cycles_per_unit * UNITS_PER_STEP;
                     let moved = prev_assign.is_some_and(|pa| pa[t] != best_perm[t]);
                     if moved {
                         report.migrations += 1;
-                        time += self.config.migration_cycles;
+                        time += MIGRATION_CYCLES;
                         let bfs = binary_fs[combo[t] as usize];
                         let cfs = self.core_fs(core);
                         if !cfs.covers(&bfs) {
@@ -231,7 +213,7 @@ impl<'a> MigrationSim<'a> {
                             time *= self.downgrade_factor(combo[t] as usize, bfs, cfs)?;
                         }
                     }
-                    cost_total += self.eval.ref_time[p] * units / time;
+                    cost_total += self.eval.ref_time[p] * UNITS_PER_STEP / time;
                     count += 1;
                 }
                 prev_assign = Some(best_perm);
@@ -278,7 +260,7 @@ mod tests {
             &cfg,
         )
         .expect("feasible");
-        let mut sim = MigrationSim::new(&eval, MigrationConfig::default());
+        let mut sim = MigrationSim::new(&eval);
         let report = sim.replay(&best.cores).expect("fault-free replay");
         assert!(report.migrations > 0, "threads must migrate");
         let deg = report.degradation();
@@ -294,7 +276,7 @@ mod tests {
         let eval = Evaluator::new(space, table, 4);
         let ref_id = cisa_explore::reference_design(space);
         let cores = [CoreChoice::Composite(ref_id); 4];
-        let sim = MigrationSim::new(&eval, MigrationConfig::default());
+        let sim = MigrationSim::new(&eval);
         let fs = sim.binary_feature_set(0, &cores);
         assert!(FeatureSet::all().contains(&fs));
     }
@@ -305,7 +287,7 @@ mod tests {
         let eval = Evaluator::new(space, table, 6);
         let ref_id = cisa_explore::reference_design(space);
         let cores = [CoreChoice::Composite(ref_id); 4];
-        let mut sim = MigrationSim::new(&eval, MigrationConfig::default());
+        let mut sim = MigrationSim::new(&eval);
         let report = sim.replay(&cores).expect("fault-free replay");
         assert_eq!(
             report.total_downgrades(),

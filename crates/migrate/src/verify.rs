@@ -176,7 +176,6 @@ fn verify_phase(spec: &PhaseSpec, fs: &FeatureSet, targets: &[FeatureSet]) -> Ve
     let func = generate(spec);
     let options = CompileOptions {
         verify: VerifyLevel::Full,
-        ..Default::default()
     };
     match compile(&func, fs, &options) {
         Ok(code) => verify_migration(&code, targets),

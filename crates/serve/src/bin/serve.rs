@@ -1,7 +1,7 @@
 //! The affinity service binary.
 //!
-//! Loads (or builds) the batch performance table, pins every known
-//! phase, and serves affinity queries until killed:
+//! Builds the batch performance table through the probe cache, pins
+//! every known phase, and serves affinity queries until killed:
 //!
 //! ```text
 //! cargo run --release -p cisa-serve --bin serve -- --addr 127.0.0.1:8780
@@ -11,10 +11,10 @@
 //! (HTTP workers), `--refines N` (concurrent refinement sweeps),
 //! `--deadline-ms MS` (default request deadline), `--queue N`
 //! (admission queue capacity; connections beyond it are shed with a
-//! 429). The table and probe cache live in `results/` at the workspace
-//! root (override with `CISA_RESULTS`). At startup the probe cache is
-//! scanned for crash debris from a previous run (orphan temp files,
-//! torn entries) and cleaned before serving.
+//! 429). The probe cache lives in `results/cache/` at the workspace
+//! root (override the `results/` directory with `CISA_RESULTS`). At
+//! startup the probe cache is scanned for crash debris from a previous
+//! run (orphan temp files, torn entries) and cleaned before serving.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -23,8 +23,8 @@ use std::time::Duration;
 use cisa_explore::{DesignSpace, PerfTable, ProfileCache, ShardedProfileStore, SweepRunner};
 use cisa_serve::{ServeConfig, Server, ServerState};
 
-/// Where the cached table and probe cache live: `CISA_RESULTS`, or
-/// `results/` at the workspace root.
+/// Where the probe cache lives: `CISA_RESULTS`, or `results/` at the
+/// workspace root.
 fn results_dir() -> PathBuf {
     if let Some(p) = std::env::var_os("CISA_RESULTS") {
         return PathBuf::from(p);
@@ -87,9 +87,8 @@ fn main() {
     let phases = cisa_workloads::all_phases();
     let runner = SweepRunner::from_env(results.join("cache"));
     let started = std::time::Instant::now();
-    let (table, report) =
-        PerfTable::load_or_build(&space, &results.join("perf_table.bin"), &runner);
-    if let Some(report) = report.filter(|r| !r.is_clean()) {
+    let (table, report) = PerfTable::build(&space, &phases, &runner);
+    if !report.is_clean() {
         eprintln!("serve: table build faults: {}", report.summary());
     }
     eprintln!(

@@ -27,6 +27,7 @@ use cisa_explore::interval::evaluate_block;
 use cisa_explore::runner::par_map_isolated;
 use cisa_explore::{
     DesignId, DesignSpace, FaultPlan, PerfTable, ProbeDedup, ShardedLru, ShardedProfileStore,
+    SweepRunner,
 };
 use cisa_isa::FeatureSet;
 use cisa_workloads::PhaseSpec;
@@ -615,8 +616,11 @@ impl ServerState {
         let dedup = ProbeDedup::default();
         // One panic-isolated task per feature set; a poisoned probe
         // retries once and then fails the request, never the server.
-        let (profiles, report) =
-            par_map_isolated(fss, self.config.refine_threads, 2, |fs, _, _| {
+        let (profiles, report) = par_map_isolated(
+            fss,
+            self.config.refine_threads,
+            SweepRunner::DEFAULT_MAX_ATTEMPTS,
+            |fs, _, _| {
                 if Instant::now() >= deadline {
                     return Err(DEADLINE_MSG.to_string());
                 }
@@ -627,7 +631,8 @@ impl ServerState {
                 let p = dedup.probe(spec, &code);
                 self.store.store(spec, *fs, &p);
                 Ok(p)
-            });
+            },
+        );
         if !report.failed.is_empty() {
             if report.failed.iter().any(|e| e.message == DEADLINE_MSG) {
                 return Err(RowError::DeadlineExceeded);

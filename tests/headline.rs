@@ -1,8 +1,12 @@
 //! Headline results: the paper's core claims, checked end-to-end on a
 //! reduced (one-phase-per-benchmark) table. Under plain `cargo test`
-//! the suite took 23–27 s on a 2-vCPU VM; the root `Cargo.toml` builds
+//! the suite took 23–28 s on a 2-vCPU VM; the root `Cargo.toml` builds
 //! the probe and simulator crates at `opt-level = 2` in the dev
-//! profile, without which it takes over 200 s.
+//! profile, without which it takes over 200 s. Wall clocks around each
+//! step put nearly all of it in one search: the cold 8-phase table
+//! build takes 1.3–1.6 s, each throughput or single-thread search
+//! 0.1–0.4 s, and the EDP search of `composite_improves_edp` 25–27 s
+//! (14.5 s of it for `CompositeFull`, 6.3 s for `VendorHetero`).
 //!
 //! Paper (Section VII): composite-ISA designs consistently outperform
 //! single-ISA heterogeneous designs, match-or-beat vendor
