@@ -29,16 +29,7 @@ fn main() {
         let mut time_by_fs: HashMap<String, f64> = HashMap::new();
         let mut total = 0.0;
         for &p in phases {
-            let best = r
-                .cores
-                .iter()
-                .min_by(|x, y| {
-                    eval.perf(p, x)
-                        .cycles_per_unit
-                        .partial_cmp(&eval.perf(p, y).cycles_per_unit)
-                        .unwrap()
-                })
-                .unwrap();
+            let best = eval.fastest(p, &r.cores);
             let t = eval.perf(p, best).cycles_per_unit;
             let fs = match best {
                 CoreChoice::Composite(id) => h.space.feature_sets[id.fs as usize].to_string(),

@@ -3,7 +3,7 @@
 //! 48mm^2 (threads contend, so second-choice cores get used too).
 
 use cisa_bench::Harness;
-use cisa_explore::multicore::{permute4, search, Budget, CoreChoice, Objective};
+use cisa_explore::multicore::{search, Budget, CoreChoice, Evaluator, Objective};
 use cisa_explore::{candidates, SystemKind};
 use std::collections::HashMap;
 
@@ -21,28 +21,11 @@ fn main() {
 
     // Replay the scheduled mixes and attribute execution time.
     let mut time_by: Vec<HashMap<String, f64>> = vec![HashMap::new(); eval.bench_phases.len()];
-    for combo in &eval.combos {
-        for step in 0..eval.steps {
-            let phases = combo.map(|b| {
-                let ps = &eval.bench_phases[b as usize];
-                ps[step % ps.len()]
-            });
+    for &combo in &eval.combos {
+        for step in 0..Evaluator::STEPS {
+            let phases = eval.mix_phases(combo, step);
             // Same assignment the throughput objective uses.
-            let mut best_sum = f64::NEG_INFINITY;
-            let mut best_perm = [0usize, 1, 2, 3];
-            permute4(|perm| {
-                let sum: f64 = phases
-                    .iter()
-                    .enumerate()
-                    .map(|(t, &p)| {
-                        eval.ref_time[p] / eval.perf(p, &r.cores[perm[t]]).cycles_per_unit
-                    })
-                    .sum();
-                if sum > best_sum {
-                    best_sum = sum;
-                    best_perm = *perm;
-                }
-            });
+            let (best_perm, _) = eval.assign(phases, &r.cores);
             for (t, &p) in phases.iter().enumerate() {
                 let core = &r.cores[best_perm[t]];
                 let fs = match core {

@@ -13,7 +13,7 @@ use std::io::{Read, Write};
 use std::path::PathBuf;
 
 use cisa_explore::multicore::{Budget, Evaluator, SearchConfig};
-use cisa_explore::{DesignSpace, PerfTable, SweepRunner};
+use cisa_explore::{probes_run, DesignSpace, PerfTable, SweepRunner};
 use cisa_workloads::all_phases;
 
 /// Where cached sweep results and experiment outputs live.
@@ -49,18 +49,20 @@ impl Harness {
         let cache_dir = results_dir().join("cache");
         let runner = SweepRunner::from_env(&cache_dir);
         let started = std::time::Instant::now();
+        let probes_before = probes_run();
         let (table, report) = PerfTable::build(&space, &all_phases(), &runner);
         let (hits, misses, _) = runner.cache().map_or((0, 0, 0), |c| c.stats());
         if misses > 0 {
+            // A cache miss is either probed or served by codegen dedup.
             eprintln!(
                 "[harness] built perf table ({} phases x {} designs) in {:.1}s \
-                 on {} threads ({} cached probes, {} fresh) -> {}",
+                 on {} threads ({hits} cached, {} probed, {} dedup hits) -> {}",
                 table.n_phases,
                 space.len(),
                 started.elapsed().as_secs_f64(),
                 runner.threads(),
-                hits,
-                misses,
+                probes_run() - probes_before,
+                runner.dedup_hits(),
                 cache_dir.display()
             );
         }

@@ -10,6 +10,14 @@
 //! identical-core and small pools are scanned exhaustively, large pools
 //! run multi-start iterated local search over [`par_map`] — and returns
 //! the same result at any thread count.
+//!
+//! Every multiprogrammed result scores one schedule, written once on
+//! [`Evaluator`]: each 4-benchmark mix steps through its phases
+//! ([`Evaluator::mix_phases`]) and threads go to cores by the optimal
+//! 4x4 assignment ([`Evaluator::assign`]); single-thread results move
+//! the thread to [`Evaluator::fastest`] core per phase. The reference
+//! chip's EDP, the denominator of every EDP score, is computed once in
+//! [`Evaluator::new`].
 
 use cisa_isa::VendorIsa;
 use cisa_workloads::all_benchmarks;
@@ -103,11 +111,14 @@ pub struct Evaluator<'a> {
     pub ref_energy: Vec<f64>,
     /// 4-benchmark combinations evaluated per objective call.
     pub combos: Vec<[u8; 4]>,
-    /// Steps per combination.
-    pub steps: usize,
+    /// Multiprogrammed EDP of the reference homogeneous chip.
+    ref_edp: f64,
 }
 
 impl<'a> Evaluator<'a> {
+    /// Scheduling steps per workload mix.
+    pub const STEPS: usize = 4;
+
     /// Builds an evaluator with `n_combos` sampled 4-benchmark mixes.
     pub fn new(space: &'a DesignSpace, table: &'a PerfTable, n_combos: usize) -> Self {
         // Group the table's phase rows by benchmark (the table records
@@ -163,7 +174,7 @@ impl<'a> Evaluator<'a> {
         }
         combos.sort();
 
-        Evaluator {
+        let mut eval = Evaluator {
             space,
             table,
             bench_phases,
@@ -171,8 +182,10 @@ impl<'a> Evaluator<'a> {
             ref_time,
             ref_energy,
             combos,
-            steps: 4,
-        }
+            ref_edp: 0.0,
+        };
+        eval.ref_edp = eval.multi_edp_raw(&[CoreChoice::Composite(ref_id); 4]);
+        eval
     }
 
     /// Performance/energy of a core on a phase.
@@ -238,25 +251,51 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// The phase each thread of a workload mix runs at scheduling step
+    /// `step`: every benchmark walks its phases in order, wrapping.
+    pub fn mix_phases(&self, combo: [u8; 4], step: usize) -> [usize; 4] {
+        combo.map(|b| {
+            let ps = &self.bench_phases[b as usize];
+            ps[step % ps.len()]
+        })
+    }
+
+    /// The speed-maximizing thread-to-core assignment of one scheduling
+    /// step (`perm[thread]` is the thread's core) and its summed
+    /// normalized speed.
+    pub fn assign(&self, phases: [usize; 4], cores: &[CoreChoice; 4]) -> ([usize; 4], f64) {
+        // speed_norm[thread][core]
+        let mut s = [[0.0f64; 4]; 4];
+        for (t, &p) in phases.iter().enumerate() {
+            for (c, core) in cores.iter().enumerate() {
+                s[t][c] = self.ref_time[p] / self.perf(p, core).cycles_per_unit;
+            }
+        }
+        best_assignment(&s)
+    }
+
+    /// The core of `cores` that runs `phase` fastest (the first on
+    /// ties). Panics if `cores` is empty.
+    pub fn fastest<'c>(&self, phase: usize, cores: &'c [CoreChoice]) -> &'c CoreChoice {
+        cores
+            .iter()
+            .min_by(|a, b| {
+                self.perf(phase, a)
+                    .cycles_per_unit
+                    .partial_cmp(&self.perf(phase, b).cycles_per_unit)
+                    .expect("finite")
+            })
+            .expect("at least one core")
+    }
+
     /// Mean normalized multiprogrammed throughput over the workload
     /// mixes, with an optimal thread-to-core assignment per step.
     pub fn throughput(&self, cores: &[CoreChoice; 4]) -> f64 {
         let mut total = 0.0;
         let mut count = 0usize;
-        for combo in &self.combos {
-            for step in 0..self.steps {
-                let phases = combo.map(|b| {
-                    let ps = &self.bench_phases[b as usize];
-                    ps[step % ps.len()]
-                });
-                // speed_norm[thread][core]
-                let mut s = [[0.0f64; 4]; 4];
-                for (t, &p) in phases.iter().enumerate() {
-                    for (c, core) in cores.iter().enumerate() {
-                        s[t][c] = self.ref_time[p] / self.perf(p, core).cycles_per_unit;
-                    }
-                }
-                total += best_assignment_sum(&s) / 4.0;
+        for &combo in &self.combos {
+            for step in 0..Self::STEPS {
+                total += self.assign(self.mix_phases(combo, step), cores).1 / 4.0;
                 count += 1;
             }
         }
@@ -266,49 +305,47 @@ impl<'a> Evaluator<'a> {
     /// Multiprogrammed EDP improvement over the reference homogeneous
     /// chip (higher is better).
     pub(crate) fn multi_edp_gain(&self, cores: &[CoreChoice; 4]) -> f64 {
-        let ref_id = reference_design(self.space);
-        let ref_cores = [CoreChoice::Composite(ref_id); 4];
-        let ours = self.multi_edp_raw(cores);
-        let base = self.multi_edp_raw(&ref_cores);
-        base / ours
+        self.ref_edp / self.multi_edp_raw(cores)
     }
 
     /// Raw multiprogrammed EDP (energy x time, arbitrary units).
-    pub(crate) fn multi_edp_raw(&self, cores: &[CoreChoice; 4]) -> f64 {
+    fn multi_edp_raw(&self, cores: &[CoreChoice; 4]) -> f64 {
+        let peaks = cores.map(|c| self.budget(&c).1);
         let mut total_edp = 0.0;
-        for combo in &self.combos {
+        for &combo in &self.combos {
             let mut energy = 0.0;
             let mut time = 0.0;
-            for step in 0..self.steps {
-                let phases = combo.map(|b| {
-                    let ps = &self.bench_phases[b as usize];
-                    ps[step % ps.len()]
-                });
+            for step in 0..Self::STEPS {
+                let phases = self.mix_phases(combo, step);
+                // perf[thread][core]
+                let mut perf = [[PhasePerf::default(); 4]; 4];
+                for (t, &p) in phases.iter().enumerate() {
+                    for (c, core) in cores.iter().enumerate() {
+                        perf[t][c] = self.perf(p, core);
+                    }
+                }
                 // Evaluate all 24 assignments, pick the one minimizing
                 // the step's energy x time.
                 let mut best = f64::INFINITY;
                 let mut best_et = (0.0, 0.0);
-                permute4(|perm| {
+                for perm in &PERMUTATIONS {
                     let mut step_time = 0.0f64;
                     let mut step_energy = 0.0f64;
-                    for (t, &p) in phases.iter().enumerate() {
-                        let perf = self.perf(p, &cores[perm[t]]);
-                        step_time = step_time.max(perf.cycles_per_unit);
-                        step_energy += perf.energy_per_unit;
+                    for (t, row) in perf.iter().enumerate() {
+                        step_time = step_time.max(row[perm[t]].cycles_per_unit);
+                        step_energy += row[perm[t]].energy_per_unit;
                     }
                     // Idle energy of early-finishing cores.
-                    for (t, &p) in phases.iter().enumerate() {
-                        let perf = self.perf(p, &cores[perm[t]]);
-                        let idle_cycles = step_time - perf.cycles_per_unit;
-                        let (_, peak) = self.budget(&cores[perm[t]]);
-                        step_energy += 0.3 * peak * idle_cycles / cisa_power::CLOCK_HZ;
+                    for (t, row) in perf.iter().enumerate() {
+                        let idle_cycles = step_time - row[perm[t]].cycles_per_unit;
+                        step_energy += 0.3 * peaks[perm[t]] * idle_cycles / cisa_power::CLOCK_HZ;
                     }
                     let cost = step_energy * step_time;
                     if cost < best {
                         best = cost;
                         best_et = (step_energy, step_time);
                     }
-                });
+                }
                 energy += best_et.0;
                 time += best_et.1;
             }
@@ -347,15 +384,7 @@ impl<'a> Evaluator<'a> {
             let mut prev: Option<&CoreChoice> = None;
             for &p in phases {
                 t_ref += self.ref_time[p] * SINGLE_THREAD_UNITS;
-                let best = cores
-                    .iter()
-                    .min_by(|a, b| {
-                        self.perf(p, a)
-                            .cycles_per_unit
-                            .partial_cmp(&self.perf(p, b).cycles_per_unit)
-                            .expect("finite")
-                    })
-                    .expect("four cores");
+                let best = self.fastest(p, cores);
                 t_best += self.perf(p, best).cycles_per_unit * SINGLE_THREAD_UNITS;
                 if let Some(prev) = prev {
                     t_best += self.migration_cycles(prev, best);
@@ -424,49 +453,46 @@ pub fn reference_design(space: &DesignSpace) -> DesignId {
     DesignId { fs, ua }
 }
 
-/// Calls `f` with every permutation of `[0,1,2,3]` (the 4x4
-/// thread-to-core assignment space).
-pub fn permute4(mut f: impl FnMut(&[usize; 4])) {
-    const PERMS: [[usize; 4]; 24] = [
-        [0, 1, 2, 3],
-        [0, 1, 3, 2],
-        [0, 2, 1, 3],
-        [0, 2, 3, 1],
-        [0, 3, 1, 2],
-        [0, 3, 2, 1],
-        [1, 0, 2, 3],
-        [1, 0, 3, 2],
-        [1, 2, 0, 3],
-        [1, 2, 3, 0],
-        [1, 3, 0, 2],
-        [1, 3, 2, 0],
-        [2, 0, 1, 3],
-        [2, 0, 3, 1],
-        [2, 1, 0, 3],
-        [2, 1, 3, 0],
-        [2, 3, 0, 1],
-        [2, 3, 1, 0],
-        [3, 0, 1, 2],
-        [3, 0, 2, 1],
-        [3, 1, 0, 2],
-        [3, 1, 2, 0],
-        [3, 2, 0, 1],
-        [3, 2, 1, 0],
-    ];
-    for p in &PERMS {
-        f(p);
-    }
-}
+/// Every permutation of `[0,1,2,3]` (the 4x4 thread-to-core
+/// assignment space).
+const PERMUTATIONS: [[usize; 4]; 24] = [
+    [0, 1, 2, 3],
+    [0, 1, 3, 2],
+    [0, 2, 1, 3],
+    [0, 2, 3, 1],
+    [0, 3, 1, 2],
+    [0, 3, 2, 1],
+    [1, 0, 2, 3],
+    [1, 0, 3, 2],
+    [1, 2, 0, 3],
+    [1, 2, 3, 0],
+    [1, 3, 0, 2],
+    [1, 3, 2, 0],
+    [2, 0, 1, 3],
+    [2, 0, 3, 1],
+    [2, 1, 0, 3],
+    [2, 1, 3, 0],
+    [2, 3, 0, 1],
+    [2, 3, 1, 0],
+    [3, 0, 1, 2],
+    [3, 0, 2, 1],
+    [3, 1, 0, 2],
+    [3, 1, 2, 0],
+    [3, 2, 0, 1],
+    [3, 2, 1, 0],
+];
 
-/// Best-assignment total of a 4x4 score matrix (maximization).
-fn best_assignment_sum(s: &[[f64; 4]; 4]) -> f64 {
-    let mut best = f64::NEG_INFINITY;
-    permute4(|perm| {
+/// The permutation maximizing the 4x4 score matrix's summed
+/// `s[thread][perm[thread]]`, and that sum (the first permutation on
+/// ties).
+fn best_assignment(s: &[[f64; 4]; 4]) -> ([usize; 4], f64) {
+    let mut best = ([0, 1, 2, 3], f64::NEG_INFINITY);
+    for perm in &PERMUTATIONS {
         let sum = (0..4).map(|t| s[t][perm[t]]).sum::<f64>();
-        if sum > best {
-            best = sum;
+        if sum > best.1 {
+            best = (*perm, sum);
         }
-    });
+    }
     best
 }
 
@@ -596,15 +622,9 @@ pub(crate) fn search_with_seeds(
         }
     }
     for p in 0..eval.table.n_phases {
-        if let Some(best) = pool.iter().min_by(|a, b| {
-            eval.perf(p, a)
-                .cycles_per_unit
-                .partial_cmp(&eval.perf(p, b).cycles_per_unit)
-                .expect("finite")
-        }) {
-            if !kept.contains(best) {
-                kept.push(*best);
-            }
+        let best = eval.fastest(p, &pool);
+        if !kept.contains(best) {
+            kept.push(*best);
         }
     }
     // Always keep the cheapest cores so tight budgets have feasible
@@ -1040,50 +1060,9 @@ mod tests {
         for (t, row) in s.iter_mut().enumerate() {
             row[(t + 1) % 4] = 1.0; // best assignment is the cycle
         }
-        assert!((best_assignment_sum(&s) - 4.0).abs() < 1e-12);
-    }
-}
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-    use crate::runner::SweepRunner;
-    use crate::table::PerfTable;
-    use cisa_workloads::all_phases;
-
-    #[test]
-    fn debug_search_none() {
-        let space = DesignSpace::new();
-        let phases: Vec<_> = all_phases().into_iter().filter(|p| p.index == 0).collect();
-        let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
-        let eval = Evaluator::new(&space, &table, 8);
-        let cands: Vec<CoreChoice> = space.ids().map(CoreChoice::Composite).collect();
-        let min_power = cands
-            .iter()
-            .map(|c| eval.budget(c).1)
-            .fold(f64::INFINITY, f64::min);
-        println!("min core power: {min_power}");
-        let pool: Vec<_> = cands
-            .iter()
-            .filter(|c| eval.budget(c).1 + 3.0 * min_power <= 40.0)
-            .collect();
-        println!("pool size at 40W: {}", pool.len());
-        let cheapest = cands
-            .iter()
-            .min_by(|a, b| eval.budget(a).1.partial_cmp(&eval.budget(b).1).unwrap())
-            .unwrap();
-        let cores = [*cheapest; 4];
-        println!(
-            "cheapest x4 feasible: {}",
-            eval.feasible(&cores, Budget::PeakPower(40.0), Objective::Throughput)
-        );
-        println!("score: {}", eval.score(&cores, Objective::Throughput));
-        println!(
-            "n_phases {} bench_phases {:?}",
-            table.n_phases,
-            eval.bench_phases.len()
-        );
-        println!("combos: {:?}", eval.combos);
+        let (perm, sum) = best_assignment(&s);
+        assert_eq!(perm, [1, 2, 3, 0]);
+        assert!((sum - 4.0).abs() < 1e-12);
     }
 }
 

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use cisa_explore::multicore::{permute4, CoreChoice, Evaluator};
+use cisa_explore::multicore::{CoreChoice, Evaluator};
 use cisa_isa::feature_set::DowngradeGap;
 use cisa_isa::FeatureSet;
 use cisa_workloads::all_benchmarks;
@@ -105,16 +105,7 @@ impl<'a> MigrationSim<'a> {
     pub(crate) fn binary_feature_set(&self, bench: usize, cores: &[CoreChoice; 4]) -> FeatureSet {
         let mut votes: HashMap<FeatureSet, u32> = HashMap::new();
         for &p in &self.eval.bench_phases[bench] {
-            let best = cores
-                .iter()
-                .min_by(|a, b| {
-                    self.eval
-                        .perf(p, a)
-                        .cycles_per_unit
-                        .partial_cmp(&self.eval.perf(p, b).cycles_per_unit)
-                        .expect("finite")
-                })
-                .expect("four cores");
+            let best = self.eval.fastest(p, cores);
             *votes.entry(self.core_fs(best)).or_default() += 1;
         }
         // Deterministic tie-break: highest vote count, then the
@@ -160,43 +151,25 @@ impl<'a> MigrationSim<'a> {
     /// names the phase and feature set.
     pub fn replay(&mut self, cores: &[CoreChoice; 4]) -> Result<MigrationReport, MigrateError> {
         let mut report = MigrationReport::default();
-        let combos = self.eval.combos.clone();
-        let binary_fs: Vec<FeatureSet> = (0..self.eval.bench_phases.len())
+        let eval = self.eval;
+        let binary_fs: Vec<FeatureSet> = (0..eval.bench_phases.len())
             .map(|b| self.binary_feature_set(b, cores))
             .collect();
 
         let mut free_total = 0.0;
         let mut cost_total = 0.0;
         let mut count = 0usize;
-        for combo in &combos {
+        for &combo in &eval.combos {
             let mut prev_assign: Option<[usize; 4]> = None;
             for step in 0..STEPS {
-                let phases = combo.map(|b| {
-                    let ps = &self.eval.bench_phases[b as usize];
-                    ps[step % ps.len()]
-                });
+                let phases = eval.mix_phases(combo, step);
                 // Best assignment by speed (as the scheduler would).
-                let mut best_sum = f64::NEG_INFINITY;
-                let mut best_perm = [0usize, 1, 2, 3];
-                permute4(|perm| {
-                    let sum: f64 = phases
-                        .iter()
-                        .enumerate()
-                        .map(|(t, &p)| {
-                            self.eval.ref_time[p]
-                                / self.eval.perf(p, &cores[perm[t]]).cycles_per_unit
-                        })
-                        .sum();
-                    if sum > best_sum {
-                        best_sum = sum;
-                        best_perm = *perm;
-                    }
-                });
+                let (best_perm, _) = eval.assign(phases, cores);
 
                 for (t, &p) in phases.iter().enumerate() {
                     let core = &cores[best_perm[t]];
-                    let perf = self.eval.perf(p, core);
-                    let free_speed = self.eval.ref_time[p] / perf.cycles_per_unit;
+                    let perf = eval.perf(p, core);
+                    let free_speed = eval.ref_time[p] / perf.cycles_per_unit;
                     free_total += free_speed;
 
                     let mut time = perf.cycles_per_unit * UNITS_PER_STEP;
@@ -213,7 +186,7 @@ impl<'a> MigrationSim<'a> {
                             time *= self.downgrade_factor(combo[t] as usize, bfs, cfs)?;
                         }
                     }
-                    cost_total += self.eval.ref_time[p] * UNITS_PER_STEP / time;
+                    cost_total += eval.ref_time[p] * UNITS_PER_STEP / time;
                     count += 1;
                 }
                 prev_assign = Some(best_perm);

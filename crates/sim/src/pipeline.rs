@@ -570,8 +570,7 @@ fn run_pipeline(
                 let done = issue + 1;
                 if predicted != u.taken {
                     act.bp_mispredicts += 1;
-                    let miss_extra = 0; // refined below via uop cache state
-                    let until = done + REDIRECT_REFILL + miss_extra + REDIRECT_DECODE_EXTRA / 2;
+                    let until = done + REDIRECT_REFILL + REDIRECT_DECODE_EXTRA / 2;
                     if until > fetch_stall_until {
                         fetch_stall_until = until;
                         stall_is_redirect = true;

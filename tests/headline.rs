@@ -1,12 +1,13 @@
 //! Headline results: the paper's core claims, checked end-to-end on a
 //! reduced (one-phase-per-benchmark) table. Under plain `cargo test`
-//! the suite took 23–28 s on a 2-vCPU VM; the root `Cargo.toml` builds
-//! the probe and simulator crates at `opt-level = 2` in the dev
+//! the suite takes 4.4–4.8 s on a 2-vCPU VM; the root `Cargo.toml`
+//! builds the probe and simulator crates at `opt-level = 2` in the dev
 //! profile, without which it takes over 200 s. Wall clocks around each
-//! step put nearly all of it in one search: the cold 8-phase table
-//! build takes 1.3–1.6 s, each throughput or single-thread search
-//! 0.1–0.4 s, and the EDP search of `composite_improves_edp` 25–27 s
-//! (14.5 s of it for `CompositeFull`, 6.3 s for `VendorHetero`).
+//! step (dev profile, searches run one after another): the cold
+//! 8-phase table build takes 1.5 s, the EDP search of
+//! `composite_improves_edp` 2.9 s (1.8 s of it for `CompositeFull`),
+//! and each throughput or single-thread budget's five searches
+//! 0.05–0.17 s together.
 //!
 //! Paper (Section VII): composite-ISA designs consistently outperform
 //! single-ISA heterogeneous designs, match-or-beat vendor
