@@ -22,10 +22,12 @@
 //! least" claims like the minimal feature set); `hi` facts charge
 //! encoding-prefix tiers and use the downgrade machinery's own
 //! memory-operand accounting, so they over-approximate (safe for
-//! "needs at most" claims like migration freeness). The `analyze_all`
-//! binary cross-checks both directions against all 1,274 compiles and
-//! 33,124 migration pairs with zero tolerated unsafe disagreements
-//! ([`check_against_emulation`]).
+//! "needs at most" claims like migration freeness). [`check_cell`]
+//! cross-checks both directions against the dynamic downgrade machinery
+//! ([`check_against_emulation`]), next to the staged verifier on the
+//! same emulation outcomes; cisa-bench's `verify_all` binary runs it
+//! over all 1,274 compiles and 33,124 migration pairs with zero
+//! tolerated unsafe disagreements.
 //!
 //! # Example
 //!
@@ -49,12 +51,14 @@
 pub mod cfg;
 pub mod dataflow;
 pub mod facts;
+pub mod grid;
 pub mod layout;
 pub mod rules;
 
 pub use cfg::{BasicBlock, Cfg};
 pub use dataflow::Dataflow;
 pub use facts::{FeatureNeeds, InstFacts};
+pub use grid::{check_cell, CellCheck};
 pub use layout::{lay_out, FunctionImage};
 pub use rules::{
     check_against_compile, check_against_emulation, severity_of, Finding, Severity, ANALYZE_RULES,

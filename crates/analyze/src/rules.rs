@@ -12,7 +12,7 @@ use std::fmt;
 
 use cisa_compiler::CompiledCode;
 use cisa_isa::FeatureSet;
-use cisa_migrate::{emulate, EmulationStats, MigrationClass};
+use cisa_migrate::{EmulationStats, MigrateError, MigrationClass};
 
 use crate::Analysis;
 
@@ -22,7 +22,7 @@ use crate::Analysis;
 /// isolation); the last seven are *cross-checks* against the compiler's
 /// feature selection and the dynamic downgrade machinery. Structural
 /// advisories ([`Severity::Advisory`]) report optimization
-/// opportunities; everything else is an error the `analyze_all` gate
+/// opportunities; everything else is an error the `verify_all` gate
 /// refuses.
 pub const ANALYZE_RULES: &[&str] = &[
     // CFG recovery
@@ -43,7 +43,7 @@ pub const ANALYZE_RULES: &[&str] = &[
     "simd-claim-contradicts-emulation",
 ];
 
-/// Whether a finding blocks the `analyze_all` gate or merely reports
+/// Whether a finding blocks the `verify_all` gate or merely reports
 /// an optimization fact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
@@ -122,7 +122,8 @@ pub fn check_against_compile(analysis: &Analysis, compiled_fs: &FeatureSet) -> V
 /// Cross-checks the analysis's whole-stream claims against the dynamic
 /// downgrade machinery for one migration target: every feature
 /// dimension the analyzer claims *absent* must produce zero
-/// transformation activity when [`emulate`] actually runs.
+/// transformation activity in `emulated`, the outcome of
+/// [`cisa_migrate::emulate`] on `code` for `target`.
 ///
 /// The whole-stream `hi` facts cover unreachable blocks too — by
 /// design, since emulation statistics are computed over the entire
@@ -134,16 +135,15 @@ pub fn check_against_emulation(
     analysis: &Analysis,
     code: &CompiledCode,
     target: &FeatureSet,
+    emulated: &Result<(CompiledCode, EmulationStats), MigrateError>,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if target.covers(&code.fs) {
-        return findings; // upgrade: emulation never runs
-    }
-    let stats = match emulate(code, target) {
-        Ok((_, stats)) => stats,
-        // Emulation failures are verify_all's domain; nothing for the
-        // static claims to contradict.
-        Err(_) => return findings,
+    // A failed emulation is the migration-safety pass's
+    // `emulation-failed` diagnostic and leaves no statistics for the
+    // static claims to contradict. An upgrade transforms nothing, so
+    // its all-zero statistics contradict nothing either.
+    let Ok((_, stats)) = emulated else {
+        return findings;
     };
     let hi = &analysis.hi;
     if !hi.wide && stats.double_pumped > 0 {
@@ -199,7 +199,7 @@ pub fn check_against_emulation(
     }
     if analysis.all_reachable() {
         if let Some(entry_class) = analysis.entry_class(code.fs, *target) {
-            if entry_class == MigrationClass::Native && stats != EmulationStats::default() {
+            if entry_class == MigrationClass::Native && *stats != EmulationStats::default() {
                 findings.push(Finding::new(
                     "native-claim-contradicts-emulation",
                     Some(0),

@@ -18,6 +18,7 @@ use cisa_isa::{
     ArchReg, Complexity, Encoder, FeatureSet, MachineInst, MacroOpcode, MemLocality, Operand,
     Predication, RegisterDepth, RegisterWidth,
 };
+use cisa_migrate::emulate;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,7 +85,7 @@ fn analyzed(code: &CompiledCode) -> Analysis {
 }
 
 fn assert_clean_emulation(a: &Analysis, code: &CompiledCode, target: &FeatureSet) {
-    let clean = check_against_emulation(a, code, target);
+    let clean = check_against_emulation(a, code, target, &emulate(code, target));
     assert!(clean.is_empty(), "clean analysis fired: {clean:?}");
 }
 
@@ -178,7 +179,7 @@ fn fire_depth_claim() -> Vec<Finding> {
     let mut a = analyzed(&code);
     assert_clean_emulation(&a, &code, &target);
     a.hi.depth = RegisterDepth::D16; // claim the code fits 16 registers
-    check_against_emulation(&a, &code, &target)
+    check_against_emulation(&a, &code, &target, &emulate(&code, &target))
 }
 
 fn fire_width_claim() -> Vec<Finding> {
@@ -192,7 +193,7 @@ fn fire_width_claim() -> Vec<Finding> {
     let mut a = analyzed(&code);
     assert_clean_emulation(&a, &code, &target);
     a.hi.wide = false; // claim there is no 64-bit code
-    check_against_emulation(&a, &code, &target)
+    check_against_emulation(&a, &code, &target, &emulate(&code, &target))
 }
 
 fn fire_complexity_claim() -> Vec<Finding> {
@@ -216,7 +217,7 @@ fn fire_complexity_claim() -> Vec<Finding> {
     let mut a = analyzed(&code);
     assert_clean_emulation(&a, &code, &target);
     a.hi.memop = false; // claim no expandable memory operands
-    check_against_emulation(&a, &code, &target)
+    check_against_emulation(&a, &code, &target, &emulate(&code, &target))
 }
 
 fn fire_predication_claim() -> Vec<Finding> {
@@ -238,7 +239,7 @@ fn fire_predication_claim() -> Vec<Finding> {
     let mut a = analyzed(&code);
     assert_clean_emulation(&a, &code, &target);
     a.hi.pred = false; // claim nothing is predicated
-    check_against_emulation(&a, &code, &target)
+    check_against_emulation(&a, &code, &target, &emulate(&code, &target))
 }
 
 fn fire_simd_claim() -> Vec<Finding> {
@@ -260,7 +261,7 @@ fn fire_simd_claim() -> Vec<Finding> {
     let mut a = analyzed(&code);
     assert_clean_emulation(&a, &code, &target);
     a.hi.vec = false; // claim the code is scalar
-    check_against_emulation(&a, &code, &target)
+    check_against_emulation(&a, &code, &target, &emulate(&code, &target))
 }
 
 fn fire_native_claim() -> Vec<Finding> {
@@ -287,7 +288,7 @@ fn fire_native_claim() -> Vec<Finding> {
     entry.needs_vec = false;
     entry.needs_memop = false;
     entry.needs_pred = false;
-    check_against_emulation(&a, &code, &target)
+    check_against_emulation(&a, &code, &target, &emulate(&code, &target))
 }
 
 // ---- registry coverage -------------------------------------------------

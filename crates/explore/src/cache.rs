@@ -114,7 +114,7 @@ impl RecoveryReport {
 }
 
 /// 64-bit FNV-1a over a byte string.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -349,10 +349,11 @@ impl ProbeDedup {
 /// from `CISA_THREADS`, cache under the given results directory) and
 /// pass it to [`crate::table::PerfTable::build`]; sweeps of their own
 /// call [`par_map`] (or [`par_map_isolated`]) with
-/// [`SweepRunner::threads`] (and [`SweepRunner::retries`]). Robustness
-/// tests attach a [`FaultPlan`] with [`SweepRunner::with_faults`];
-/// without one, the fault-checking paths collapse to the plain ones and
-/// results are bit-identical to an unhardened runner.
+/// [`SweepRunner::threads`] (and [`SweepRunner::DEFAULT_MAX_ATTEMPTS`]).
+/// Robustness tests attach a [`FaultPlan`] with
+/// [`SweepRunner::with_faults`]; without one, the fault-checking paths
+/// collapse to the plain ones and results are bit-identical to an
+/// unhardened runner.
 #[derive(Debug)]
 pub struct SweepRunner {
     n_threads: usize,
@@ -402,12 +403,6 @@ impl SweepRunner {
     /// The attached cache, if any.
     pub fn cache(&self) -> Option<&ProfileCache> {
         self.cache.as_ref()
-    }
-
-    /// The per-item attempt budget of reported sweeps
-    /// ([`DEFAULT_MAX_ATTEMPTS`](Self::DEFAULT_MAX_ATTEMPTS)).
-    pub fn retries(&self) -> u32 {
-        Self::DEFAULT_MAX_ATTEMPTS
     }
 
     /// Probes answered from the in-process dedup map instead of a full

@@ -138,7 +138,7 @@ impl PerfTable {
         let (cells, report) = par_map_isolated(
             &pairs,
             runner.threads(),
-            runner.retries(),
+            SweepRunner::DEFAULT_MAX_ATTEMPTS,
             |&(pi, fi), index, attempt| {
                 let prof =
                     runner.probe_checked(&phases[pi], space.feature_sets[fi], index, attempt)?;

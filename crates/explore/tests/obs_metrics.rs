@@ -90,7 +90,7 @@ fn fault_injection_moves_counters_by_exactly_the_planned_amounts() {
     // corrupted item trips the stream check once per attempt until the
     // retry budget is exhausted. Forced panics are transient (attempt 0
     // only): one panic each, then the retry succeeds.
-    let attempts = u64::from(runner.retries());
+    let attempts = u64::from(SweepRunner::DEFAULT_MAX_ATTEMPTS);
     assert_eq!(
         snap.counter("fault/stream"),
         corrupted.len() as u64 * attempts,

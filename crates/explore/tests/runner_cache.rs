@@ -214,7 +214,7 @@ fn faulted_table_build_degrades_gracefully_and_reports_exactly() {
     assert_eq!(report.failed_indices(), failed);
     assert_eq!(report.retried, failed.len() + panics.len());
     for e in &report.failed {
-        assert_eq!(e.attempts, runner.retries(), "{e}");
+        assert_eq!(e.attempts, SweepRunner::DEFAULT_MAX_ATTEMPTS, "{e}");
         assert!(e.message.contains("injected fault"), "{e}");
     }
 

@@ -18,8 +18,8 @@
 //!
 //! [`verify`] is the full staged machine-code verifier: the compiler's
 //! five per-phase passes plus migration safety, which checks every
-//! [`emulate`] downgrade. The `verify_all` binary runs it over the
-//! whole workload suite.
+//! [`emulate`] downgrade. cisa-bench's `verify_all` binary runs it
+//! over the whole workload suite.
 
 #![warn(missing_docs)]
 

@@ -11,7 +11,7 @@
 //! [`classify_migration_with`] uses them to refine the conservative
 //! class — never in the optimistic-unsafe direction, because the
 //! refined class is clamped by `min` against the conservative one and
-//! the `analyze_all` sweep cross-checks every pair against the dynamic
+//! the `verify_all` sweep cross-checks every pair against the dynamic
 //! downgrade machinery.
 //!
 //! The flagship refinement mirrors Mavrogeorgis et al. (PAPERS.md):

@@ -4,18 +4,22 @@
 //! legality, post-isel operand shape, post-regalloc register discipline,
 //! encoding round-trip) live in [`cisa_compiler::verify`] so the driver
 //! can run them after every phase. This module adds the one pass that
-//! needs the downgrade machinery — **migration safety** — and composes
-//! all six into one whole-grid sweep:
+//! needs the downgrade machinery — **migration safety** — and the
+//! compile that runs the other five:
 //!
+//! - [`compile_verified`] compiles one workload phase with
+//!   [`VerifyLevel::Full`], recovering the precise IR diagnostics when
+//!   the compile is refused.
 //! - [`check_emulation`] checks one downgrade: every feature gap
 //!   [`FeatureSet::downgrade_gaps`] claims emulable really is, so after
-//!   [`emulate`] no instruction still exercises the downgraded
+//!   [`emulate`](crate::emulate) no instruction still exercises the downgraded
 //!   dimension (rules in [`MIGRATION_RULES`]).
-//! - [`verify_suite`] compiles every phase for every feature set with
-//!   [`VerifyLevel::Full`], emulates each result down to every other
-//!   feature set, and aggregates a [`VerifyReport`]. The `verify_all`
-//!   binary runs it over all 49 workload phases × 26 feature sets and
-//!   exits nonzero on any diagnostic (the CI `verify` job).
+//!
+//! `cisa_analyze::check_cell` runs both for one (phase, feature set)
+//! cell, next to the static analyzer's cross-checks on the same
+//! emulation outcomes; cisa-bench's `verify_all` binary sweeps it over
+//! all 49 workload phases × 26 feature sets and exits nonzero on any
+//! diagnostic (the CI `verify` job).
 //!
 //! Every rule here and in [`cisa_compiler::verify::RULES`] has a
 //! dedicated firing test in `tests/mutation_rules.rs`.
@@ -23,12 +27,11 @@
 pub use cisa_compiler::verify::{VerifyError, VerifyLevel, VerifyPass};
 
 use cisa_compiler::{compile, CompileError, CompileOptions, CompiledCode};
-use cisa_explore::{par_map, threads};
 use cisa_isa::inst::MacroOpcode;
 use cisa_isa::{Complexity, FeatureSet, Predication, RegisterWidth, SimdSupport};
 use cisa_workloads::{generate, PhaseSpec};
 
-use crate::{emulate, EmulationStats, MigrateError};
+use crate::{EmulationStats, MigrateError};
 
 /// Rules of the migration-safety pass. Together with the five
 /// per-dimension survival rules, [`check_emulation`] covers exactly the
@@ -68,7 +71,7 @@ fn merr(
 /// original block byte sizes as an approximation, so encoding-level
 /// checks do not apply here.
 ///
-/// Takes the [`emulate`] `Result` rather than calling it, so corrupted
+/// Takes the [`emulate`](crate::emulate) `Result` rather than calling it, so corrupted
 /// outcomes can be verified directly.
 pub fn check_emulation(
     result: Result<(CompiledCode, EmulationStats), MigrateError>,
@@ -158,29 +161,21 @@ pub fn check_emulation(
     errors
 }
 
-/// Migration-safety pass: emulates `code` down to every `target` and
-/// checks each outcome with [`check_emulation`]. Targets that cover the
-/// code's feature set exercise the zero-transform upgrade path and must
-/// verify trivially.
-pub(crate) fn verify_migration(code: &CompiledCode, targets: &[FeatureSet]) -> Vec<VerifyError> {
-    targets
-        .iter()
-        .flat_map(|t| check_emulation(emulate(code, t), t, &code.name))
-        .collect()
-}
-
-/// Runs the full six-pass suite for one workload phase and one feature
-/// set: a [`VerifyLevel::Full`] compile (passes 1–5 after each pipeline
-/// phase) followed by migration safety against `targets`.
-fn verify_phase(spec: &PhaseSpec, fs: &FeatureSet, targets: &[FeatureSet]) -> Vec<VerifyError> {
+/// Compiles one workload phase for `fs` at [`VerifyLevel::Full`], so
+/// passes 1–5 run after each pipeline phase. Returns the code, or every
+/// diagnostic that stopped the compile. Pass 6, migration safety, is
+/// [`check_emulation`] on each [`emulate`](crate::emulate) outcome of the returned code.
+pub fn compile_verified(
+    spec: &PhaseSpec,
+    fs: &FeatureSet,
+) -> Result<CompiledCode, Vec<VerifyError>> {
     let func = generate(spec);
     let options = CompileOptions {
         verify: VerifyLevel::Full,
     };
-    match compile(&func, fs, &options) {
-        Ok(code) => verify_migration(&code, targets),
-        Err(CompileError::Verify(violations)) => violations,
-        Err(CompileError::InvalidIr(msg)) => {
+    compile(&func, fs, &options).map_err(|e| match e {
+        CompileError::Verify(violations) => violations,
+        CompileError::InvalidIr(msg) => {
             // validate() checks a subset of verify_ir's structural
             // rules, so the precise diagnostics are recoverable.
             let mut v = cisa_compiler::verify::verify_ir(&func);
@@ -196,67 +191,14 @@ fn verify_phase(spec: &PhaseSpec, fs: &FeatureSet, targets: &[FeatureSet]) -> Ve
             }
             v
         }
-    }
-}
-
-/// The aggregate outcome of a [`verify_suite`] run.
-#[derive(Debug, Clone, Default)]
-pub struct VerifyReport {
-    /// Workload phases checked.
-    pub phases: usize,
-    /// Feature sets each phase was compiled for.
-    pub feature_sets: usize,
-    /// (compiled-for, migration-target) pairs emulated and checked.
-    pub migration_pairs: usize,
-    /// Every diagnostic found, in phase × feature-set order.
-    pub errors: Vec<VerifyError>,
-}
-
-impl VerifyReport {
-    /// Whether the whole suite verified clean.
-    pub fn ok(&self) -> bool {
-        self.errors.is_empty()
-    }
-}
-
-/// Verifies every phase × feature-set combination, using the same
-/// feature sets as migration targets. The `verify_all` binary (and the
-/// CI `verify` job) runs this over all phases and all 26 feature sets.
-///
-/// The grid runs on the shared [`cisa_explore::par_map`] pool
-/// ([`cisa_explore::threads`] workers, so `CISA_THREADS` bounds it);
-/// the report is identical at any thread count.
-pub fn verify_suite(phases: &[PhaseSpec], feature_sets: &[FeatureSet]) -> VerifyReport {
-    let pairs: Vec<(&PhaseSpec, &FeatureSet)> = phases
-        .iter()
-        .flat_map(|spec| feature_sets.iter().map(move |fs| (spec, fs)))
-        .collect();
-    let errors = par_map(&pairs, threads(), |&(spec, fs)| {
-        verify_phase(spec, fs, feature_sets)
-    });
-    VerifyReport {
-        phases: phases.len(),
-        feature_sets: feature_sets.len(),
-        migration_pairs: pairs.len() * feature_sets.len(),
-        errors: errors.into_iter().flatten().collect(),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emulate;
     use cisa_workloads::all_phases;
-
-    #[test]
-    fn one_phase_verifies_clean_across_all_feature_sets() {
-        let phases = all_phases();
-        let all = FeatureSet::all();
-        let report = verify_suite(&phases[..1], &all);
-        assert_eq!(report.phases, 1);
-        assert_eq!(report.feature_sets, 26);
-        assert_eq!(report.migration_pairs, 26 * 26);
-        assert!(report.ok(), "diagnostics: {:#?}", report.errors);
-    }
 
     #[test]
     fn upgrade_targets_verify_trivially() {
@@ -267,7 +209,9 @@ mod tests {
         // Every set covers code compiled for the minimal one... except
         // along dimensions the partial order leaves incomparable; all
         // must still verify.
-        assert_eq!(verify_migration(&code, &FeatureSet::all()), vec![]);
+        for t in &FeatureSet::all() {
+            assert_eq!(check_emulation(emulate(&code, t), t, &code.name), vec![]);
+        }
     }
 
     #[test]

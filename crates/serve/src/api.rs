@@ -280,21 +280,29 @@ impl Objective {
     }
 }
 
+/// A POST body as a JSON object, or the 400 that says why it is not
+/// one.
+fn parse_object_body(req: &Request) -> Result<Json, Reply> {
+    let body = std::str::from_utf8(&req.body)
+        .map_err(|_| Reply::from(error_response(400, "bad_request", "body is not UTF-8")))?;
+    let root =
+        parse(body).map_err(|e| Reply::from(error_response(400, "bad_json", &e.to_string())))?;
+    if root.as_obj().is_none() {
+        return Err(
+            error_response(400, "bad_request", "request body must be a JSON object").into(),
+        );
+    }
+    Ok(root)
+}
+
 /// `POST /v1/affinity` — the main query: rank feature sets for a phase
 /// under a power/area budget.
 fn affinity(state: &Arc<ServerState>, req: &Request) -> Reply {
     let _span = cisa_obs::span("affinity");
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(s) => s,
-        Err(_) => return error_response(400, "bad_request", "body is not UTF-8").into(),
-    };
-    let root = match parse(body) {
+    let root = match parse_object_body(req) {
         Ok(v) => v,
-        Err(e) => return error_response(400, "bad_json", &e.to_string()).into(),
+        Err(reply) => return reply,
     };
-    if root.as_obj().is_none() {
-        return error_response(400, "bad_request", "request body must be a JSON object").into();
-    }
 
     let spec = match resolve_spec(state, &root) {
         Ok(s) => s,
@@ -528,17 +536,10 @@ fn resolve_spec(state: &Arc<ServerState>, root: &Json) -> Result<PhaseSpec, Repl
 /// next to the statically-refined one.
 fn analyze_code(state: &Arc<ServerState>, req: &Request) -> Reply {
     let _span = cisa_obs::span("analyze/handler");
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(s) => s,
-        Err(_) => return error_response(400, "bad_request", "body is not UTF-8").into(),
-    };
-    let root = match parse(body) {
+    let root = match parse_object_body(req) {
         Ok(v) => v,
-        Err(e) => return error_response(400, "bad_json", &e.to_string()).into(),
+        Err(reply) => return reply,
     };
-    if root.as_obj().is_none() {
-        return error_response(400, "bad_request", "request body must be a JSON object").into();
-    }
     let spec = match resolve_spec(state, &root) {
         Ok(s) => s,
         Err(reply) => return reply,

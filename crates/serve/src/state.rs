@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use cisa_explore::cache::fnv1a;
 use cisa_explore::interval::evaluate_block;
 use cisa_explore::runner::par_map_isolated;
 use cisa_explore::{
@@ -381,6 +382,8 @@ pub struct ServerState {
     /// Known phases, preloaded as pinned rows.
     pub phases: Vec<PhaseSpec>,
     by_name: HashMap<String, usize>,
+    // Row keys are the FNV-1a of the spec fingerprint, the hash the
+    // profile cache addresses its entries by.
     pinned: HashMap<u64, Arc<AffinityRow>>,
     rows: ShardedLru<Arc<AffinityRow>>,
     store: ShardedProfileStore,
@@ -390,17 +393,6 @@ pub struct ServerState {
     lifecycle: AtomicU8,
     request_seq: AtomicU64,
     started: Instant,
-}
-
-/// The row LRU key of a fingerprint string (FNV-1a, same family the
-/// profile cache uses for its content addressing).
-pub(crate) fn row_key(fingerprint: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in fingerprint.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl ServerState {
@@ -440,7 +432,7 @@ impl ServerState {
                 fingerprint: fingerprint.clone(),
                 perfs,
             });
-            pinned.insert(row_key(&fingerprint), row);
+            pinned.insert(fnv1a(fingerprint.as_bytes()), row);
             by_name.insert(spec.name(), pi);
         }
         let rows = ShardedLru::new(config.row_shards, config.row_capacity_per_shard);
@@ -520,7 +512,7 @@ impl ServerState {
         deadline: Instant,
     ) -> Result<(RowSource, Arc<AffinityRow>), RowError> {
         let fingerprint = spec.fingerprint();
-        let key = row_key(&fingerprint);
+        let key = fnv1a(fingerprint.as_bytes());
         if let Some(row) = self.pinned.get(&key) {
             cisa_obs::counter("serve/affinity/table_hit", 1);
             return Ok((RowSource::Pinned, Arc::clone(row)));

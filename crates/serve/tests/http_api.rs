@@ -87,7 +87,13 @@ fn start_server() -> Server {
 
 /// One-shot HTTP client: sends a request with `Connection: close` and
 /// returns `(status, body)`.
-fn request(addr: std::net::SocketAddr, method: &str, target: &str, body: &str) -> (u16, String) {
+fn request(
+    addr: std::net::SocketAddr,
+    method: &str,
+    target: &str,
+    body: impl AsRef<[u8]>,
+) -> (u16, String) {
+    let body = body.as_ref();
     let mut stream = TcpStream::connect(addr).expect("connect");
     let head = format!(
         "{method} {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
@@ -96,7 +102,7 @@ fn request(addr: std::net::SocketAddr, method: &str, target: &str, body: &str) -
     // The server may answer (413) before the body is fully written;
     // keep reading whatever it sent even if the write fails.
     let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    let _ = stream.write_all(body);
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("read response");
     let text = String::from_utf8(raw).expect("UTF-8 response");
@@ -214,14 +220,39 @@ fn affinity_for_known_phase_is_bit_identical_to_batch_table() {
 #[test]
 fn malformed_json_gets_structured_400() {
     let server = start_server();
-    let (status, v) = post_affinity(server.addr(), r#"{"phase": "#);
-    assert_eq!(status, 400);
-    let err = v.get("error").expect("error envelope");
-    assert_eq!(err.get("code").and_then(Json::as_str), Some("bad_json"));
-    assert!(err
-        .get("message")
-        .and_then(Json::as_str)
-        .is_some_and(|m| m.contains("byte")));
+    // Both POST routes parse their body the same way and answer a bad
+    // one with the same bytes.
+    for route in ["/v1/affinity", "/v1/analyze"] {
+        let (status, text) = request(server.addr(), "POST", route, r#"{"phase": "#);
+        assert_eq!(status, 400, "{route}");
+        let v = parse(&text).expect("response is valid JSON");
+        let err = v.get("error").expect("error envelope");
+        assert_eq!(err.get("code").and_then(Json::as_str), Some("bad_json"));
+        assert!(err
+            .get("message")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("byte")));
+
+        let not_utf8: &[u8] = b"{\"phase\":\"\xff\"}";
+        assert_eq!(
+            request(server.addr(), "POST", route, not_utf8),
+            (
+                400,
+                r#"{"error":{"status":400,"code":"bad_request","message":"body is not UTF-8"}}"#
+                    .to_string()
+            ),
+            "{route}"
+        );
+        assert_eq!(
+            request(server.addr(), "POST", route, "[1,2]"),
+            (
+                400,
+                r#"{"error":{"status":400,"code":"bad_request","message":"request body must be a JSON object"}}"#
+                    .to_string()
+            ),
+            "{route}"
+        );
+    }
 }
 
 #[test]
@@ -544,7 +575,7 @@ fn analyze_endpoint_reports_facts_and_refined_classes() {
         server.addr(),
         "POST",
         "/v1/analyze",
-        &format!(r#"{{"phase":"{phase}"}}"#),
+        format!(r#"{{"phase":"{phase}"}}"#),
     );
     assert_eq!(status, 400);
     let (status, _) = request(
