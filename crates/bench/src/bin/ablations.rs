@@ -1,7 +1,7 @@
 //! Ablation studies for the design choices DESIGN.md calls out:
 //! scheduler quality, search strategy, and the micro-op cache.
 
-use cisa_bench::Harness;
+use cisa_bench::{Harness, SEARCH_CONFIG};
 use cisa_explore::multicore::{search, Budget, Objective, SearchConfig};
 use cisa_explore::{candidates, par_map, SystemKind};
 
@@ -18,35 +18,22 @@ fn main() {
             SearchConfig {
                 restarts: 0,
                 max_passes: 1,
-                pool_cap: 120,
-                identical: false,
+                ..SEARCH_CONFIG
             },
         ),
         (
             "local search, 1 pass",
             SearchConfig {
                 restarts: 0,
-                max_passes: 12,
-                pool_cap: 120,
-                identical: false,
+                ..SEARCH_CONFIG
             },
         ),
-        (
-            "multi-seed local search",
-            SearchConfig {
-                restarts: 2,
-                max_passes: 12,
-                pool_cap: 120,
-                identical: false,
-            },
-        ),
+        ("multi-seed local search", SEARCH_CONFIG),
         (
             "wider pool",
             SearchConfig {
-                restarts: 2,
-                max_passes: 12,
                 pool_cap: 240,
-                identical: false,
+                ..SEARCH_CONFIG
             },
         ),
     ];

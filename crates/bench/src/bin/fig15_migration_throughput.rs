@@ -3,30 +3,27 @@
 
 use cisa_bench::{Harness, POWER_BUDGETS};
 use cisa_explore::multicore::Objective;
-use cisa_explore::{par_map, search_system, SystemKind};
+use cisa_explore::{par_map, SystemKind};
 use cisa_migrate::MigrationSim;
 
 fn main() {
     let h = Harness::load();
     let eval = h.evaluator();
-    let cfg = h.search_config();
     println!("Figure 15: throughput with migration + downgrade costs (composite-ISA)");
     println!(
         "{:<12} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "budget", "free", "with costs", "degradation", "migrations", "downgrades"
     );
-    let reports = par_map(&POWER_BUDGETS, h.runner.threads(), |&(_, budget)| {
-        search_system(
-            &eval,
-            SystemKind::CompositeFull,
-            Objective::Throughput,
-            budget,
-            &cfg,
-        )
-        .map(|r| {
-            let mut sim = MigrationSim::new(&eval);
-            sim.replay(&r.cores)
-        })
+    let results = h.search_grid(
+        &eval,
+        &[SystemKind::CompositeFull],
+        Objective::Throughput,
+        &POWER_BUDGETS,
+    );
+    let reports = par_map(&results, h.runner.threads(), |result| {
+        result
+            .as_ref()
+            .map(|r| MigrationSim::new(&eval).replay(&r.cores))
     });
     for ((name, _), rep) in POWER_BUDGETS.iter().zip(reports) {
         match rep {

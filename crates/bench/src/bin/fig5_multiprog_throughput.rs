@@ -2,52 +2,26 @@
 //! organizations under peak-power and area budgets (higher is better,
 //! normalized to the homogeneous x86-64 design at each budget).
 
-use cisa_bench::{Harness, AREA_BUDGETS, POWER_BUDGETS};
-use cisa_explore::multicore::Objective;
-use cisa_explore::{par_map, search_system, SystemKind};
+use cisa_bench::{print_grid, Harness, AREA_BUDGETS, POWER_BUDGETS};
+use cisa_explore::multicore::{Objective, SearchResult};
+use cisa_explore::SystemKind;
+
+fn score(r: &Option<SearchResult>) -> f64 {
+    r.as_ref().map_or(f64::NAN, |r| r.score)
+}
 
 fn main() {
     let h = Harness::load();
     let eval = h.evaluator();
-    let cfg = h.search_config();
-
     for (axis_name, budgets) in [
         ("Peak Power Budget", &POWER_BUDGETS),
         ("Area Budget", &AREA_BUDGETS),
     ] {
-        // Every (organization, budget) search is independent: sweep the
-        // whole grid on the shared runner, then print in table order.
-        let grid: Vec<(SystemKind, usize)> = SystemKind::ALL
-            .iter()
-            .flat_map(|&kind| (0..budgets.len()).map(move |bi| (kind, bi)))
-            .collect();
-        let scores = par_map(&grid, h.runner.threads(), |&(kind, bi)| {
-            search_system(&eval, kind, Objective::Throughput, budgets[bi].1, &cfg)
-                .map(|r| r.score)
-                .unwrap_or(f64::NAN)
-        });
-        let score_at = |kind: SystemKind, bi: usize| {
-            scores[grid
-                .iter()
-                .position(|&(k, b)| k == kind && b == bi)
-                .expect("grid covers all")]
-        };
-
+        let grid = h.search_grid(&eval, &SystemKind::ALL, Objective::Throughput, budgets);
         println!("\nFigure 5 ({axis_name}): multiprogrammed throughput, normalized to homogeneous");
-        println!(
-            "{:<50} {}",
-            "design",
-            budgets.map(|(n, _)| format!("{n:>10}")).join(" ")
-        );
-        for kind in SystemKind::ALL {
-            let cells: Vec<String> = (0..budgets.len())
-                .map(|bi| {
-                    let norm = score_at(kind, bi) / score_at(SystemKind::Homogeneous, bi);
-                    format!("{norm:>10.3}")
-                })
-                .collect();
-            println!("{:<50} {}", kind.label(), cells.join(" "));
-        }
+        print_grid(budgets, &grid, |r, homogeneous| {
+            Some(score(r) / score(homogeneous))
+        });
     }
     println!("\npaper: composite-ISA outperforms single-ISA heterogeneous by ~17.6% on average, ~30% at 20W");
 }

@@ -2,14 +2,13 @@
 //! budgets (dynamic multicore topology: one core on at a time,
 //! migration across the four cores).
 
-use cisa_bench::{Harness, SINGLE_THREAD_POWER_BUDGETS};
+use cisa_bench::{print_grid, Harness, SINGLE_THREAD_POWER_BUDGETS};
 use cisa_explore::multicore::Objective;
-use cisa_explore::{par_map, search_system, SystemKind};
+use cisa_explore::SystemKind;
 
 fn main() {
     let h = Harness::load();
     let eval = h.evaluator();
-    let cfg = h.search_config();
     for (metric, objective, note) in [
         (
             "performance (speedup, higher better)",
@@ -22,38 +21,10 @@ fn main() {
             "paper: -27.8% EDP vs single-ISA hetero",
         ),
     ] {
-        let grid: Vec<(SystemKind, usize)> = SystemKind::ALL
-            .iter()
-            .flat_map(|&kind| (0..SINGLE_THREAD_POWER_BUDGETS.len()).map(move |bi| (kind, bi)))
-            .collect();
-        let cells = par_map(&grid, h.runner.threads(), |&(kind, bi)| {
-            search_system(
-                &eval,
-                kind,
-                objective,
-                SINGLE_THREAD_POWER_BUDGETS[bi].1,
-                &cfg,
-            )
-            .map(|r| format!("{:>10.3}", r.score))
-            .unwrap_or_else(|| format!("{:>10}", "-"))
-        });
-
+        let budgets = &SINGLE_THREAD_POWER_BUDGETS;
+        let grid = h.search_grid(&eval, &SystemKind::ALL, objective, budgets);
         println!("\nFigure 7: single-thread {metric} under peak power budgets");
-        println!(
-            "{:<50} {}",
-            "design",
-            SINGLE_THREAD_POWER_BUDGETS
-                .map(|(n, _)| format!("{n:>10}"))
-                .join(" ")
-        );
-        for (row, kind) in SystemKind::ALL.iter().enumerate() {
-            let n = SINGLE_THREAD_POWER_BUDGETS.len();
-            println!(
-                "{:<50} {}",
-                kind.label(),
-                cells[row * n..(row + 1) * n].join(" ")
-            );
-        }
+        print_grid(budgets, &grid, |r, _| r.as_ref().map(|r| r.score));
         println!("  {note}");
     }
 }

@@ -3,18 +3,27 @@
 //! One binary per table and figure of the paper's evaluation section
 //! (see DESIGN.md's experiment index), all building the
 //! (phase x design-point) performance table through one shared probe
-//! cache so the expensive probing pass runs once.
+//! cache so the expensive probing pass runs once. The searches and
+//! printers the binaries share live here once: the (organization x
+//! budget) grid, the Figure 9-11 sensitivity sweep, and the table
+//! printers.
 //!
 //! Run any experiment with `cargo run --release -p cisa-bench --bin
 //! <experiment>`; the first run fills the probe cache in
 //! `results/cache/`.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 
-use cisa_explore::multicore::{Budget, Evaluator, SearchConfig};
-use cisa_explore::{probes_run, DesignSpace, PerfTable, SweepRunner};
-use cisa_workloads::all_phases;
+use cisa_explore::multicore::{
+    search, Budget, CoreChoice, Evaluator, Objective, SearchConfig, SearchResult,
+};
+use cisa_explore::{
+    candidates, constrained_candidates, par_map, probes_run, search_system,
+    sensitivity_constraints, DesignSpace, PerfTable, SweepRunner, SystemKind,
+};
+use cisa_workloads::{all_benchmarks, all_phases};
 
 /// Where cached sweep results and experiment outputs live.
 pub fn results_dir() -> PathBuf {
@@ -84,14 +93,145 @@ impl Harness {
         Evaluator::new(&self.space, &self.table, 24)
     }
 
-    /// The standard search configuration used by every experiment.
-    pub fn search_config(&self) -> SearchConfig {
-        SearchConfig {
-            restarts: 2,
-            max_passes: 12,
-            pool_cap: 120,
-            identical: false,
+    /// The (organization x budget) search grid of Figures 5-8, Tables
+    /// III-IV and Figure 15: one [`search_system`] per cell, swept on
+    /// the shared runner. Cells are row-major: `(kinds[k], budgets[b])`
+    /// is at `k * budgets.len() + b`; `None` marks an infeasible cell.
+    pub fn search_grid(
+        &self,
+        eval: &Evaluator<'_>,
+        kinds: &[SystemKind],
+        objective: Objective,
+        budgets: &[(&str, Budget)],
+    ) -> Vec<Option<SearchResult>> {
+        let grid: Vec<(SystemKind, Budget)> = kinds
+            .iter()
+            .flat_map(|&kind| budgets.iter().map(move |&(_, budget)| (kind, budget)))
+            .collect();
+        par_map(&grid, self.runner.threads(), |&(kind, budget)| {
+            search_system(eval, kind, objective, budget, &SEARCH_CONFIG)
+        })
+    }
+
+    /// The sensitivity study of Figures 9-11: multiprogrammed
+    /// throughput at 48mm2, first over every composite design
+    /// (`"unconstrained"`), then under each of the ten
+    /// [`sensitivity_constraints`]. `None` marks an infeasible row.
+    pub fn sensitivity_sweep(&self, eval: &Evaluator<'_>) -> Vec<(String, Option<SearchResult>)> {
+        let mut rows = vec![(
+            "unconstrained".to_string(),
+            candidates(&self.space, SystemKind::CompositeFull),
+        )];
+        rows.extend(
+            sensitivity_constraints()
+                .into_iter()
+                .map(|(name, c)| (name, constrained_candidates(&self.space, &c))),
+        );
+        let results = par_map(&rows, self.runner.threads(), |(_, cands)| {
+            search(
+                eval,
+                cands,
+                Objective::Throughput,
+                Budget::Area(48.0),
+                &SEARCH_CONFIG,
+            )
+        });
+        rows.into_iter()
+            .map(|(name, _)| name)
+            .zip(results)
+            .collect()
+    }
+}
+
+/// The search configuration of every figure and table (the ablations
+/// vary it).
+pub const SEARCH_CONFIG: SearchConfig = SearchConfig {
+    restarts: 2,
+    max_passes: 12,
+    pool_cap: 120,
+};
+
+/// Prints a labelled (organization x budget) table of a
+/// [`Harness::search_grid`] over [`SystemKind::ALL`]: a header of budget
+/// names, then one row per organization. `cell(result, homogeneous)`
+/// gives a cell's value from its search result and the homogeneous
+/// result at the same budget; `None` prints as `-`.
+pub fn print_grid(
+    budgets: &[(&str, Budget)],
+    grid: &[Option<SearchResult>],
+    cell: impl Fn(&Option<SearchResult>, &Option<SearchResult>) -> Option<f64>,
+) {
+    let header: Vec<String> = budgets.iter().map(|(n, _)| format!("{n:>10}")).collect();
+    println!("{:<50} {}", "design", header.join(" "));
+    let homogeneous = &grid[..budgets.len()];
+    for (kind, row) in SystemKind::ALL.iter().zip(grid.chunks(budgets.len())) {
+        let cells: Vec<String> = row
+            .iter()
+            .zip(homogeneous)
+            .map(|(r, h)| match cell(r, h) {
+                Some(v) => format!("{v:>10.3}"),
+                None => format!("{:>10}", "-"),
+            })
+            .collect();
+        println!("{:<50} {}", kind.label(), cells.join(" "));
+    }
+}
+
+/// Prints the composite compositions of Tables III-IV, one block per
+/// [`POWER_BUDGETS`] entry: each core with its peak power and area,
+/// then the line `closing` renders for the chip.
+pub fn print_compositions(
+    eval: &Evaluator<'_>,
+    results: &[Option<SearchResult>],
+    closing: impl Fn(&SearchResult) -> String,
+) {
+    for ((name, _), result) in POWER_BUDGETS.iter().zip(results) {
+        println!("\nPeak Power Budget: {name}");
+        match result {
+            Some(r) => {
+                for (i, c) in r.cores.iter().enumerate() {
+                    let (area, power) = eval.budget(c);
+                    println!(
+                        "  core {i}: {:<55} {power:>5.1} W {area:>5.1} mm2",
+                        c.describe(eval.space)
+                    );
+                }
+                println!("  {}", closing(r));
+            }
+            None => println!("  infeasible"),
         }
+    }
+}
+
+/// The label Figures 12-13 attribute a core's time to: its feature
+/// set, or its vendor's name for a vendor-ISA core.
+pub fn feature_label(core: &CoreChoice, space: &DesignSpace) -> String {
+    match core {
+        CoreChoice::Vendor(v, _) => v.to_string(),
+        CoreChoice::Composite(_) => core.config(space).fs.to_string(),
+    }
+}
+
+/// Prints each benchmark's execution-time share per label (Figures
+/// 12-13), largest first. `time_by[b]` holds the cycles benchmark `b`
+/// (an index into `eval.bench_phases`) spent under each label;
+/// benchmarks that never ran are skipped.
+pub fn print_time_shares(eval: &Evaluator<'_>, time_by: &[BTreeMap<String, f64>]) {
+    let benchmarks = all_benchmarks();
+    for (b, times) in time_by.iter().enumerate() {
+        let total: f64 = times.values().sum();
+        if total == 0.0 {
+            continue;
+        }
+        let mut shares: Vec<(&String, f64)> =
+            times.iter().map(|(l, t)| (l, 100.0 * t / total)).collect();
+        shares.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite share"));
+        let s: Vec<String> = shares
+            .iter()
+            .map(|(l, pc)| format!("{l} {pc:.0}%"))
+            .collect();
+        let bench = benchmarks[eval.bench_ids[b] as usize].name;
+        println!("  {:<12} {}", bench, s.join(", "));
     }
 }
 

@@ -15,7 +15,7 @@
 //! `crates/bench` checks its rank correlation against the cycle
 //! simulator.
 
-use cisa_power::{energy, energy_scaled, EnergyScales};
+use cisa_power::{energy, energy_scaled, EnergyReport, EnergyScales};
 use cisa_sim::{
     Activity, CoreConfig, ExecSemantics, MemLatency, SimResult, REDIRECT_DECODE_EXTRA,
     REDIRECT_REFILL,
@@ -196,11 +196,29 @@ pub(crate) fn fit(p: &mut PhaseProfile) {
 /// Evaluates one (phase, design) pair: cycles and energy per unit of
 /// phase work.
 pub fn evaluate(p: &PhaseProfile, ua: &MicroArch, cfg: &CoreConfig) -> PhasePerf {
-    let cpu = cycles_per_uop(p, ua);
-    let cycles_per_unit = cpu * p.uops_per_unit;
+    let cycles_per_unit = cycles_per_uop(p, ua) * p.uops_per_unit;
+    PhasePerf {
+        cycles_per_unit,
+        energy_per_unit: kilo_unit_energy(p, ua, cfg, cycles_per_unit).total_j / 1000.0,
+    }
+}
 
-    // Synthesize activity counters for one kilo-unit of work and reuse
-    // the single energy path in cisa-power.
+/// The per-stage energy of one kilo-unit of phase work on one design:
+/// the report whose `total_j / 1000` is [`evaluate`]'s
+/// `energy_per_unit` (Figure 11's breakdown).
+pub fn unit_energy(p: &PhaseProfile, ua: &MicroArch, cfg: &CoreConfig) -> EnergyReport {
+    kilo_unit_energy(p, ua, cfg, cycles_per_uop(p, ua) * p.uops_per_unit)
+}
+
+/// Synthesizes the activity counters of one kilo-unit of work from the
+/// profile and the design's caches and predictor, and prices them on
+/// the single energy path in cisa-power.
+fn kilo_unit_energy(
+    p: &PhaseProfile,
+    ua: &MicroArch,
+    cfg: &CoreConfig,
+    cycles_per_unit: f64,
+) -> EnergyReport {
     let scale = 1000.0 * p.uops_per_unit;
     let i1 = l1_idx(ua.l1_kb);
     let i2 = l2_idx(ua.l2_kb);
@@ -239,11 +257,7 @@ pub fn evaluate(p: &PhaseProfile, ua: &MicroArch, cfg: &CoreConfig) -> PhasePerf
         activity,
         stalls: Default::default(),
     };
-    let report = energy(cfg, &result);
-    PhasePerf {
-        cycles_per_unit,
-        energy_per_unit: report.total_j / 1000.0,
-    }
+    energy(cfg, &result)
 }
 
 /// Per-profile scalars hoisted out of the design-point loop: everything
@@ -574,5 +588,22 @@ mod tests {
         let e_little = evaluate(&p, little, &little.with_fs(FeatureSet::minimal())).energy_per_unit;
         let e_big = evaluate(&p, big, &big.with_fs(FeatureSet::minimal())).energy_per_unit;
         assert!(e_little < e_big, "little {e_little} vs big {e_big}");
+    }
+
+    #[test]
+    fn unit_energy_is_the_models_energy() {
+        let p = probe(&spec("mcf"), FeatureSet::x86_64());
+        for fs in [FeatureSet::x86_64(), FeatureSet::minimal()] {
+            for ua in all_microarchs() {
+                let cfg = ua.with_fs(fs);
+                let report = unit_energy(&p, &ua, &cfg);
+                assert_eq!(
+                    (report.total_j / 1000.0).to_bits(),
+                    evaluate(&p, &ua, &cfg).energy_per_unit.to_bits(),
+                    "{}",
+                    cfg.describe()
+                );
+            }
+        }
     }
 }

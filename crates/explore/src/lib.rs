@@ -44,7 +44,7 @@ pub mod table;
 
 pub use cache::{CrashPoint, ProfileCache, RecoveryReport};
 pub use faults::{FaultDomain, FaultPlan, InjectedFault};
-pub use interval::{evaluate, evaluate_block, PhasePerf};
+pub use interval::{evaluate, evaluate_block, unit_energy, PhasePerf};
 pub use multicore::{
     reference_design, search, Budget, CoreChoice, Evaluator, Objective, SearchConfig, SearchResult,
 };

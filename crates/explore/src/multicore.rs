@@ -20,6 +20,7 @@
 //! [`Evaluator::new`].
 
 use cisa_isa::VendorIsa;
+use cisa_sim::CoreConfig;
 use cisa_workloads::all_benchmarks;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -27,7 +28,7 @@ use rand::{Rng, SeedableRng};
 use crate::interval::PhasePerf;
 use crate::profile::reference_ooo;
 use crate::runner::{par_map, threads};
-use crate::space::{DesignId, DesignSpace};
+use crate::space::{DesignId, DesignSpace, MicroArch};
 use crate::table::PerfTable;
 
 /// One core slot of a multicore: a composite design point or a
@@ -41,18 +42,28 @@ pub enum CoreChoice {
 }
 
 impl CoreChoice {
+    /// The core's microarchitecture.
+    pub fn microarch<'s>(&self, space: &'s DesignSpace) -> &'s MicroArch {
+        let (CoreChoice::Composite(DesignId { ua, .. }) | CoreChoice::Vendor(_, ua)) = self;
+        &space.microarchs[*ua as usize]
+    }
+
+    /// The core's configuration. Its `.fs` is the core's feature set;
+    /// a vendor core runs its vendor's x86-ized feature set.
+    pub fn config(&self, space: &DesignSpace) -> CoreConfig {
+        let fs = match self {
+            CoreChoice::Composite(id) => space.feature_sets[id.fs as usize],
+            CoreChoice::Vendor(v, _) => v.x86ized(),
+        };
+        self.microarch(space).with_fs(fs)
+    }
+
     /// Short description for tables.
     pub fn describe(&self, space: &DesignSpace) -> String {
+        let config = self.config(space).describe();
         match self {
-            CoreChoice::Composite(id) => space.config(*id).describe(),
-            CoreChoice::Vendor(v, ua) => {
-                format!(
-                    "{v} {}",
-                    space.microarchs[*ua as usize]
-                        .with_fs(v.x86ized())
-                        .describe()
-                )
-            }
+            CoreChoice::Composite(_) => config,
+            CoreChoice::Vendor(v, _) => format!("{v} {config}"),
         }
     }
 }
@@ -505,8 +516,6 @@ pub struct SearchConfig {
     pub max_passes: u32,
     /// Candidate pool cap after proxy ranking.
     pub pool_cap: usize,
-    /// Force all four cores identical (the homogeneous baseline).
-    pub identical: bool,
 }
 
 impl Default for SearchConfig {
@@ -515,7 +524,6 @@ impl Default for SearchConfig {
             restarts: 2,
             max_passes: 12,
             pool_cap: 140,
-            identical: false,
         }
     }
 }
@@ -539,12 +547,14 @@ pub fn search(
     budget: Budget,
     config: &SearchConfig,
 ) -> Option<SearchResult> {
-    search_with_seeds(eval, candidates, objective, budget, config, &[])
+    search_with_seeds(eval, candidates, objective, budget, config, &[], false)
 }
 
 /// [`search`] with additional warm-start chips (used by the
 /// composite-ISA search to start from the best designs of its subset
-/// organizations, guaranteeing it never falls below them).
+/// organizations, guaranteeing it never falls below them), or, when
+/// `homogeneous`, over chips of four identical cores only (the
+/// homogeneous baseline).
 pub(crate) fn search_with_seeds(
     eval: &Evaluator<'_>,
     candidates: &[CoreChoice],
@@ -552,6 +562,7 @@ pub(crate) fn search_with_seeds(
     budget: Budget,
     config: &SearchConfig,
     warm_starts: &[[CoreChoice; 4]],
+    homogeneous: bool,
 ) -> Option<SearchResult> {
     let _search = cisa_obs::span("search");
     cisa_obs::counter("search/runs", 1);
@@ -606,10 +617,7 @@ pub(crate) fn search_with_seeds(
     {
         let mut seen_fs: Vec<(cisa_isa::FeatureSet, u32)> = Vec::new();
         for c in &pool {
-            let fs = match c {
-                CoreChoice::Composite(id) => eval.space.feature_sets[id.fs as usize],
-                CoreChoice::Vendor(v, _) => v.x86ized(),
-            };
+            let fs = c.config(eval.space).fs;
             let count = seen_fs.iter_mut().find(|(f, _)| *f == fs);
             match count {
                 Some((_, n)) if *n >= 4 => continue,
@@ -657,9 +665,9 @@ pub(crate) fn search_with_seeds(
         eval.score(cores, objective)
     };
 
-    // Identical mode is exact by construction: one pass over the pool
+    // Homogeneous mode is exact by construction: one pass over the pool
     // scores every homogeneous chip.
-    if config.identical {
+    if homogeneous {
         cisa_obs::counter("search/exhaustive_chips", pool.len() as u64);
         let mut best: Option<SearchResult> = None;
         for c in &pool {
@@ -984,16 +992,17 @@ mod tests {
             .map(CoreChoice::Composite)
             .collect();
         let cfg = SearchConfig {
-            identical: true,
             pool_cap: 50,
             ..Default::default()
         };
-        let r = search(
+        let r = search_with_seeds(
             &eval,
             &cands,
             Objective::Throughput,
             Budget::PeakPower(40.0),
             &cfg,
+            &[],
+            true,
         )
         .expect("feasible");
         assert!(

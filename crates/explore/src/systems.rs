@@ -5,7 +5,7 @@
 use cisa_isa::{FeatureConstraint, FeatureSet, VendorIsa};
 
 use crate::multicore::{
-    search, search_with_seeds, Budget, CoreChoice, Evaluator, Objective, SearchConfig, SearchResult,
+    search_with_seeds, Budget, CoreChoice, Evaluator, Objective, SearchConfig, SearchResult,
 };
 use crate::space::DesignSpace;
 
@@ -112,12 +112,9 @@ pub fn search_system(
     config: &SearchConfig,
 ) -> Option<SearchResult> {
     let cands = candidates(eval.space, kind);
-    let cfg = SearchConfig {
-        identical: kind == SystemKind::Homogeneous,
-        ..*config
-    };
     if kind != SystemKind::CompositeFull {
-        return search(eval, &cands, objective, budget, &cfg);
+        let homogeneous = kind == SystemKind::Homogeneous;
+        return search_with_seeds(eval, &cands, objective, budget, config, &[], homogeneous);
     }
     // The full composite space is a superset of the fixed-set and
     // single-ISA spaces, but a 4,680-candidate local search can get
@@ -132,7 +129,7 @@ pub fn search_system(
         .into_iter()
         .flatten()
         .collect();
-    search_with_seeds(eval, &cands, objective, budget, &cfg, &warm)
+    search_with_seeds(eval, &cands, objective, budget, config, &warm, false)
 }
 
 /// The ten constraints of the Figure 9/10/11 sensitivity study.

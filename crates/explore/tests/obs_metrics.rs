@@ -38,7 +38,6 @@ fn metric_snapshots_are_byte_identical_across_thread_counts() {
         parallel.to_json(false),
         "metrics must be bit-identical at CISA_THREADS=1 vs 8"
     );
-    assert_eq!(serial.to_jsonl(false), parallel.to_jsonl(false));
 
     // Sanity: the snapshot actually captured the sweep (this guards
     // against a trivially-equal pair of empty snapshots, e.g. if the

@@ -91,14 +91,6 @@ impl<'a> MigrationSim<'a> {
         }
     }
 
-    /// The feature set of a core slot.
-    fn core_fs(&self, core: &CoreChoice) -> FeatureSet {
-        match core {
-            CoreChoice::Composite(id) => self.eval.space.feature_sets[id.fs as usize],
-            CoreChoice::Vendor(v, _) => v.x86ized(),
-        }
-    }
-
     /// The binary's compiled feature set for one benchmark: the most
     /// common per-phase preference on this multicore (the paper
     /// compiles one binary with the most common feature selection).
@@ -106,7 +98,7 @@ impl<'a> MigrationSim<'a> {
         let mut votes: HashMap<FeatureSet, u32> = HashMap::new();
         for &p in &self.eval.bench_phases[bench] {
             let best = self.eval.fastest(p, cores);
-            *votes.entry(self.core_fs(best)).or_default() += 1;
+            *votes.entry(best.config(self.eval.space).fs).or_default() += 1;
         }
         // Deterministic tie-break: highest vote count, then the
         // feature-set ordering.
@@ -178,7 +170,7 @@ impl<'a> MigrationSim<'a> {
                         report.migrations += 1;
                         time += MIGRATION_CYCLES;
                         let bfs = binary_fs[combo[t] as usize];
-                        let cfs = self.core_fs(core);
+                        let cfs = core.config(eval.space).fs;
                         if !cfs.covers(&bfs) {
                             for gap in cfs.downgrade_gaps(&bfs) {
                                 *report.downgrades.entry(gap_label(&gap)).or_default() += 1;

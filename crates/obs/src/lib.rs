@@ -17,10 +17,10 @@
 //!   total. Like counters, bucket increments commute.
 //!
 //! All state lives in one process-global [`Registry`]; [`snapshot`]
-//! captures it and [`Snapshot::to_json`] / [`Snapshot::to_jsonl`] render
-//! it with sorted keys and no timestamps, so two runs that do the same
-//! work produce byte-identical output (pass `timings = false` to also
-//! drop the wall-clock nanosecond fields).
+//! captures it and [`Snapshot::to_json`] renders it with sorted keys and
+//! no timestamps, so two runs that do the same work produce
+//! byte-identical output (pass `timings = false` to also drop the
+//! wall-clock nanosecond fields).
 //!
 //! # Switching it off
 //!
@@ -406,40 +406,6 @@ impl Snapshot {
         out.push_str("}}");
         out
     }
-
-    /// Renders the snapshot as JSONL: one self-describing record per
-    /// line (`{"kind":"counter","name":...,"value":...}`), counters
-    /// first, then histograms, then spans, each group in sorted key
-    /// order. Same `timings` contract as [`Snapshot::to_json`].
-    pub fn to_jsonl(&self, timings: bool) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            out.push_str("{\"kind\":\"counter\",\"name\":");
-            push_json_string(&mut out, k);
-            out.push_str(",\"value\":");
-            out.push_str(&v.to_string());
-            out.push_str("}\n");
-        }
-        for (k, buckets) in &self.hists {
-            out.push_str("{\"kind\":\"hist\",\"name\":");
-            push_json_string(&mut out, k);
-            out.push_str(",\"buckets\":");
-            push_hist_value(&mut out, buckets);
-            out.push_str("}\n");
-        }
-        for (k, s) in &self.spans {
-            out.push_str("{\"kind\":\"span\",\"name\":");
-            push_json_string(&mut out, k);
-            out.push_str(",\"count\":");
-            out.push_str(&s.count.to_string());
-            if timings {
-                out.push_str(",\"ns\":");
-                out.push_str(&s.total_ns.to_string());
-            }
-            out.push_str("}\n");
-        }
-        out
-    }
 }
 
 fn push_joined<I, T>(out: &mut String, items: I, mut f: impl FnMut(&mut String, T))
@@ -623,21 +589,6 @@ mod tests {
         assert!(!j.contains("\"ns\""));
         // Snapshot of equal content renders identically.
         assert_eq!(j, r.snapshot().to_json(false));
-    }
-
-    #[test]
-    fn jsonl_lines_parse_shape() {
-        let r = Registry::new();
-        r.add_counter("c", 7);
-        r.add_span("s", 5);
-        let out = r.snapshot().to_jsonl(false);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"kind\":\"counter\",\"name\":\"c\",\"value\":7}"
-        );
-        assert_eq!(lines[1], "{\"kind\":\"span\",\"name\":\"s\",\"count\":1}");
     }
 
     #[test]
