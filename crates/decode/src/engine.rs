@@ -10,6 +10,8 @@
 
 use cisa_isa::Complexity;
 
+use crate::lru::LruSets;
+
 /// Static description of one fetched macro-op, as the frontend sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MacroRecord {
@@ -130,12 +132,7 @@ const WINDOW_BYTES: u64 = 32;
 
 /// Set-associative micro-op cache over PC windows with LRU replacement.
 #[derive(Debug, Clone)]
-struct UopCache {
-    /// `sets[set][way] = (tag, lru_stamp)`.
-    sets: Vec<Vec<(u64, u64)>>,
-    ways: usize,
-    stamp: u64,
-}
+struct UopCache(LruSets);
 
 impl UopCache {
     fn new(windows: u32, ways: u32) -> Option<Self> {
@@ -144,30 +141,14 @@ impl UopCache {
         }
         let ways = ways.max(1) as usize;
         let n_sets = (windows as usize / ways).max(1);
-        Some(UopCache {
-            sets: vec![Vec::with_capacity(ways); n_sets],
-            ways,
-            stamp: 0,
-        })
+        Some(UopCache(LruSets::new(n_sets, ways)))
     }
 
     /// Looks up the window containing `pc`; fills on miss. Returns hit.
     fn access(&mut self, pc: u64) -> bool {
         let window = pc / WINDOW_BYTES;
-        let idx = (window as usize) % self.sets.len();
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let set = &mut self.sets[idx];
-        if let Some(entry) = set.iter_mut().find(|e| e.0 == window) {
-            entry.1 = stamp;
-            return true;
-        }
-        if set.len() < self.ways {
-            set.push((window, stamp));
-        } else if let Some(lru) = set.iter_mut().min_by_key(|e| e.1) {
-            *lru = (window, stamp);
-        }
-        false
+        let set = (window as usize) % self.0.sets();
+        self.0.access(set, window)
     }
 }
 

@@ -16,11 +16,16 @@
 //!   budgets, reproducing the paper's deltas (superset decoder +0.3%
 //!   peak power / +0.46% area; microx86-32 decoder -0.66% / -1.12%; ILD
 //!   +0.87% / +0.65%).
+//!
+//! Under the micro-op cache sits [`lru::LruSets`], the flat LRU tag
+//! array that `cisa-sim`'s L1/L2 caches reuse.
 
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod lru;
 pub mod rtl;
 
 pub use engine::{DecodeFrontend, DecodeStats, DecoderConfig, MacroRecord, SupplySource};
+pub use lru::LruSets;
 pub use rtl::{decoder_block, ild, DecoderRtl, IldRtl};

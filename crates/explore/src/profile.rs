@@ -504,6 +504,10 @@ pub fn probe_compiled(spec: &PhaseSpec, code: &CompiledCode) -> PhaseProfile {
     let uopc_hit_rate = supply.stats().uop_cache_hit_rate();
     let l1i_miss_per_uop = [l1i[0].misses as f64 / n, l1i[1].misses as f64 / n];
 
+    // The measurement caches (about 0.8 MB of tags) are dead from
+    // here. Free them before the calibration cores allocate theirs, so
+    // the two sets are never live at once.
+    drop((l1d, l2, l1i));
     drop(_measure);
     // Calibration simulations replay the arena (bit-identical to fresh
     // trace generation; asserted in cisa-sim's tests) and share the

@@ -1,16 +1,17 @@
 //! Set-associative caches and the three-level hierarchy of Table I
 //! (private L1 I/D, shared banked L2, main memory).
 
-/// One set-associative cache with LRU replacement.
+use cisa_decode::LruSets;
+
+/// One set-associative cache with LRU replacement, over the flat
+/// recency-ordered tag array [`LruSets`] (exactly the stamp-LRU; see
+/// its module doc).
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// `sets[set][way] = (tag, stamp)`.
-    sets: Vec<Vec<(u64, u64)>>,
-    ways: usize,
+    lru: LruSets,
     line_bytes: u64,
     set_shift: u32,
     set_mask: u64,
-    stamp: u64,
     /// Accesses and misses.
     pub accesses: u64,
     /// Misses.
@@ -29,37 +30,25 @@ impl Cache {
         let n_sets = (size_bytes / line_bytes / ways as u64).max(1);
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
         Cache {
-            sets: vec![Vec::with_capacity(ways as usize); n_sets as usize],
-            ways: ways as usize,
+            lru: LruSets::new(n_sets as usize, ways as usize),
             line_bytes,
             set_shift: line_bytes.trailing_zeros(),
             set_mask: n_sets - 1,
-            stamp: 0,
             accesses: 0,
             misses: 0,
         }
     }
 
     /// Accesses `addr`; returns `true` on hit. Misses fill the line.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
-        self.stamp += 1;
         let line = addr >> self.set_shift;
-        let set_idx = (line & self.set_mask) as usize;
+        let set = (line & self.set_mask) as usize;
         let tag = line >> self.set_mask.count_ones();
-        let stamp = self.stamp;
-        let set = &mut self.sets[set_idx];
-        if let Some(e) = set.iter_mut().find(|e| e.0 == tag) {
-            e.1 = stamp;
-            return true;
-        }
-        self.misses += 1;
-        if set.len() < self.ways {
-            set.push((tag, stamp));
-        } else {
-            *set.iter_mut().min_by_key(|e| e.1).expect("set non-empty") = (tag, stamp);
-        }
-        false
+        let hit = self.lru.access(set, tag);
+        self.misses += u64::from(!hit);
+        hit
     }
 
     /// Line size in bytes.
@@ -297,7 +286,122 @@ mod tests {
     fn geometry_is_power_of_two() {
         let c = Cache::new(64 * 1024, 4);
         assert_eq!(c.line_bytes(), 64);
-        assert_eq!(c.sets.len(), 256);
+        assert_eq!(c.lru.sets(), 256);
+    }
+
+    /// The stamp-LRU the flat [`LruSets`] replaced, kept as the
+    /// reference model: `sets[set][way] = (tag, stamp)`, the
+    /// stamp-minimum way evicted.
+    struct StampLru {
+        sets: Vec<Vec<(u64, u64)>>,
+        ways: usize,
+        stamp: u64,
+    }
+
+    impl StampLru {
+        fn new(sets: usize, ways: usize) -> Self {
+            StampLru {
+                sets: vec![Vec::new(); sets],
+                ways,
+                stamp: 0,
+            }
+        }
+
+        fn access(&mut self, set: usize, tag: u64) -> bool {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let set = &mut self.sets[set];
+            if let Some(e) = set.iter_mut().find(|e| e.0 == tag) {
+                e.1 = stamp;
+                return true;
+            }
+            if set.len() < self.ways {
+                set.push((tag, stamp));
+            } else {
+                *set.iter_mut().min_by_key(|e| e.1).expect("set non-empty") = (tag, stamp);
+            }
+            false
+        }
+    }
+
+    /// A seeded address stream over `sets` sets of 64-byte lines that
+    /// mixes a few hot lines, more lines per set than ways (conflicts)
+    /// and cold lines spread over 64 MB.
+    fn mixed_stream(sets: u64, ways: u64, n: usize) -> Vec<u64> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        (0..n)
+            .map(|_| {
+                let r = next();
+                match r % 4 {
+                    0 => (r >> 8) % 8 * 64,
+                    1 => ((r >> 8) % (3 * ways)) * sets * 64 + (r >> 32) % 4 * 64,
+                    2 => 0x100_0000 + (r >> 8) % (2 * sets * ways) * 64,
+                    _ => (r >> 8) % (64 << 20),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flat_lru_matches_stamp_lru_on_every_geometry() {
+        for (kb, ways) in [(32u64, 4u32), (64, 4), (1024, 4), (2048, 8)] {
+            let mut flat = Cache::new(kb * 1024, ways);
+            let sets = flat.lru.sets();
+            let mut stamp = StampLru::new(sets, ways as usize);
+            for (i, addr) in mixed_stream(sets as u64, ways as u64, 200_000)
+                .into_iter()
+                .enumerate()
+            {
+                let line = addr >> 6;
+                let reference =
+                    stamp.access(line as usize & (sets - 1), line >> sets.trailing_zeros());
+                assert_eq!(flat.access(addr), reference, "{kb}K/{ways} access {i}");
+            }
+            assert!(
+                flat.misses > 0 && flat.misses < flat.accesses,
+                "{kb}K/{ways}"
+            );
+        }
+    }
+
+    #[test]
+    fn flat_lru_matches_stamp_lru_in_the_uop_cache() {
+        use cisa_decode::{DecodeFrontend, DecoderConfig, MacroRecord, SupplySource};
+        use cisa_isa::Complexity;
+        for c in [Complexity::X86, Complexity::MicroX86] {
+            let cfg = DecoderConfig::for_complexity(c);
+            let ways = cfg.uop_cache_ways as usize;
+            let sets = cfg.uop_cache_windows as usize / ways;
+            let mut fe = DecodeFrontend::new(cfg);
+            let mut stamp = StampLru::new(sets, ways);
+            let mut hits = 0;
+            // 64-byte strides over `sets` sets are 32-byte windows over
+            // twice as many; halve the set count to keep the conflicts.
+            for (i, pc) in mixed_stream(sets as u64 / 2, ways as u64, 100_000)
+                .into_iter()
+                .enumerate()
+            {
+                let window = pc / 32;
+                let reference = stamp.access(window as usize % sets, window);
+                let rec = MacroRecord {
+                    pc,
+                    len: 4,
+                    uops: 1,
+                    fusible_cmp: false,
+                    is_branch: false,
+                };
+                let hit = fe.supply(&rec).0 == SupplySource::UopCache;
+                assert_eq!(hit, reference, "{c:?} access {i}");
+                hits += u64::from(hit);
+            }
+            assert!(hits > 0 && hits < 100_000, "{c:?}: {hits} hits");
+        }
     }
 
     #[test]

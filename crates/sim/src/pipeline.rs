@@ -12,7 +12,7 @@
 //! width. Branch direction comes from a real predictor; mispredictions
 //! stall fetch until the branch resolves plus a frontend refill.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use cisa_decode::{DecodeFrontend, DecodeStats, DecoderConfig, MacroRecord, SupplySource};
@@ -200,6 +200,69 @@ impl FuPool {
         let start = t.max(earliest);
         self.free[idx] = start + busy;
         start
+    }
+}
+
+/// The issue and load/store queues' occupancy: the issue (IQ) or
+/// completion (LSQ) cycle of every queued micro-op, of which dispatch
+/// only ever asks for the earliest.
+///
+/// A power-of-two ring kept in ascending order: the minimum is the
+/// head, and a push walks in from the tail past the larger keys. That
+/// is the same multiset a min-heap holds, asked the same question, so
+/// the answers are identical. It is cheaper because keys arrive almost
+/// sorted. Once a queue has filled, every micro-op that enters it pops
+/// first, and the key it pushes exceeds the one it popped: its issue
+/// cycle is at least `entry + 1`, past the minimum dispatch waited
+/// for, and a completion follows its issue. On the probe's calibration
+/// cores a push moves under one queued key on average.
+struct MinRing {
+    keys: Vec<u64>,
+    head: usize,
+    len: usize,
+}
+
+impl MinRing {
+    /// A queue for at most `cap` keys.
+    fn with_capacity(cap: usize) -> Self {
+        MinRing {
+            keys: vec![0; cap.next_power_of_two()],
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    fn push(&mut self, key: u64) {
+        let mask = self.keys.len() - 1;
+        assert!(self.len <= mask, "queue over capacity");
+        let mut at = self.len;
+        while at > 0 {
+            let prev = self.keys[(self.head + at - 1) & mask];
+            if prev <= key {
+                break;
+            }
+            self.keys[(self.head + at) & mask] = prev;
+            at -= 1;
+        }
+        self.keys[(self.head + at) & mask] = key;
+        self.len += 1;
+    }
+
+    /// Removes and returns the smallest key, if any.
+    #[inline]
+    fn pop_min(&mut self) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let key = self.keys[self.head];
+        self.head = (self.head + 1) & (self.keys.len() - 1);
+        self.len -= 1;
+        Some(key)
     }
 }
 
@@ -412,10 +475,11 @@ fn run_pipeline(
 
     let mut reg_ready = [0u64; 256];
     let mut rob: VecDeque<u64> = VecDeque::with_capacity(rob_cap); // commit times
-    let mut iq: BinaryHeap<std::cmp::Reverse<u64>> = BinaryHeap::new(); // issue times
-    let mut lsq: BinaryHeap<std::cmp::Reverse<u64>> = BinaryHeap::new(); // completion times
-                                                                         // Pre-size past the 4096-entry clear threshold below so the map
-                                                                         // never rehash-grows mid-simulation.
+    let mut iq = MinRing::with_capacity(iq_cap); // issue times
+    let mut lsq = MinRing::with_capacity(lsq_cap); // completion times
+
+    // Pre-size past the 4096-entry clear threshold below so the map
+    // never rehash-grows mid-simulation.
     let mut store_fwd = LineMap::with_capacity_and_hasher(8192, Default::default());
 
     // Frontend cursor.
@@ -489,13 +553,13 @@ fn run_pipeline(
             entry = entry.max(head);
         }
         if iq.len() >= iq_cap {
-            let std::cmp::Reverse(earliest_issue) = iq.pop().expect("iq non-empty");
+            let earliest_issue = iq.pop_min().expect("iq non-empty");
             stalls.dispatch_iq += earliest_issue.saturating_sub(entry);
             entry = entry.max(earliest_issue);
         }
         let is_mem = u.kind.is_mem();
         if is_mem && lsq.len() >= lsq_cap {
-            let std::cmp::Reverse(earliest_done) = lsq.pop().expect("lsq non-empty");
+            let earliest_done = lsq.pop_min().expect("lsq non-empty");
             stalls.dispatch_lsq += earliest_done.saturating_sub(entry);
             entry = entry.max(earliest_done);
         }
@@ -624,9 +688,9 @@ fn run_pipeline(
             rob.len() <= rob_cap,
             "dispatch capped the ROB before the push"
         );
-        iq.push(std::cmp::Reverse(issue));
+        iq.push(issue);
         if is_mem {
-            lsq.push(std::cmp::Reverse(completion));
+            lsq.push(completion);
         }
     }
 
@@ -779,6 +843,38 @@ mod tests {
                 let independent = simulate_arena(cfg, &arena);
                 assert_eq!(*shared, independent, "{bench} {:?}", cfg.sem);
             }
+        }
+    }
+
+    #[test]
+    fn min_ring_pops_what_a_min_heap_pops() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for cap in [1usize, 3, 8, 40, 97] {
+            let mut ring = MinRing::with_capacity(cap);
+            let mut heap = BinaryHeap::new();
+            let mut popped = 0;
+            for _ in 0..50_000 {
+                let r = next();
+                // Few distinct keys, so equal keys are common.
+                if ring.len() < cap && r % 3 != 0 {
+                    let key = (r >> 8) % 64;
+                    ring.push(key);
+                    heap.push(Reverse(key));
+                } else {
+                    assert_eq!(ring.pop_min(), heap.pop().map(|Reverse(k)| k), "cap {cap}");
+                    popped += 1;
+                }
+                assert_eq!(ring.len(), heap.len());
+            }
+            assert!(popped > 1000, "cap {cap}: {popped} pops");
         }
     }
 

@@ -107,6 +107,9 @@ struct StaticBlock {
     term_len: u8,
     end_pc: u64,
     vectorized: bool,
+    /// Index of this block's first instruction in the generator's
+    /// `stream_cursors`.
+    cursor_base: usize,
 }
 
 /// Walks compiled code, yielding dynamic micro-ops.
@@ -115,8 +118,9 @@ pub struct TraceGenerator {
     blocks: Vec<StaticBlock>,
     block_pcs: Vec<u64>,
     branch_states: Vec<Option<BranchState>>,
-    /// Stream cursors per (block, inst) static id.
-    stream_cursors: std::collections::HashMap<(u32, u32), u64>,
+    /// Stream cursor per static instruction, block by block (a block's
+    /// instructions start at its `cursor_base`).
+    stream_cursors: Vec<u64>,
     rng: SmallRng,
     ws_bytes: u64,
     stream_bytes: u64,
@@ -145,6 +149,7 @@ impl TraceGenerator {
         let mut blocks = Vec::with_capacity(code.blocks.len());
         let mut block_pcs = Vec::with_capacity(code.blocks.len());
         let mut branch_states = Vec::with_capacity(code.blocks.len());
+        let mut n_insts = 0;
         for b in &code.blocks {
             block_pcs.push(pc);
             let mut insts = Vec::with_capacity(b.insts.len());
@@ -204,14 +209,16 @@ impl TraceGenerator {
                 term_len,
                 end_pc: pc,
                 vectorized: b.vectorized,
+                cursor_base: n_insts,
             });
+            n_insts += b.insts.len();
         }
 
         TraceGenerator {
             blocks,
             block_pcs,
             branch_states,
-            stream_cursors: std::collections::HashMap::new(),
+            stream_cursors: vec![0; n_insts],
             rng: SmallRng::seed_from_u64(params.seed ^ spec.seed),
             ws_bytes: ((spec.locality.working_set_bytes as f64) * footprint_scale) as u64,
             stream_bytes: spec.locality.stream_bytes.max(4096),
@@ -238,7 +245,8 @@ impl TraceGenerator {
             }
             MemLocality::Stream => {
                 let stride = if wide_vec { 16 } else { 8 };
-                let c = self.stream_cursors.entry((bid, iid)).or_insert(0);
+                let c =
+                    &mut self.stream_cursors[self.blocks[bid as usize].cursor_base + iid as usize];
                 let addr = STREAM_BASE + (*c % self.stream_bytes);
                 *c += stride;
                 addr
