@@ -9,7 +9,7 @@ use cisa_explore::{evaluate, probe};
 use cisa_isa::inst::{MacroOpcode, Operand};
 use cisa_isa::{ArchReg, Encoder, FeatureSet, InstLengthDecoder, MachineInst};
 use cisa_sim::{simulate, CoreConfig, PredictorKind};
-use cisa_workloads::{all_phases, generate, TraceGenerator, TraceParams};
+use cisa_workloads::{all_phases, generate, TraceArena, TraceParams};
 
 fn bench_encoder() {
     let enc = Encoder::new(FeatureSet::superset());
@@ -82,27 +82,19 @@ fn bench_simulator() {
         .unwrap();
     let fs = FeatureSet::x86_64();
     let code = compile(&generate(&spec), &fs, &CompileOptions::default()).unwrap();
+    let trace = TraceArena::build(
+        &code,
+        &spec,
+        TraceParams {
+            max_uops: 20_000,
+            seed: 3,
+        },
+    );
     bench("simulator/ooo_20k_uops", || {
-        let trace = TraceGenerator::new(
-            &code,
-            &spec,
-            TraceParams {
-                max_uops: 20_000,
-                seed: 3,
-            },
-        );
-        std::hint::black_box(simulate(&CoreConfig::reference(fs), trace));
+        std::hint::black_box(simulate(&CoreConfig::reference(fs), &trace));
     });
     bench("simulator/inorder_20k_uops", || {
-        let trace = TraceGenerator::new(
-            &code,
-            &spec,
-            TraceParams {
-                max_uops: 20_000,
-                seed: 3,
-            },
-        );
-        std::hint::black_box(simulate(&CoreConfig::little(fs), trace));
+        std::hint::black_box(simulate(&CoreConfig::little(fs), &trace));
     });
 }
 

@@ -6,7 +6,7 @@ use cisa_compiler::{compile, CompileOptions};
 use cisa_explore::{all_microarchs, evaluate, probe};
 use cisa_isa::FeatureSet;
 use cisa_sim::simulate;
-use cisa_workloads::{all_phases, generate, TraceGenerator, TraceParams};
+use cisa_workloads::{all_phases, generate, TraceArena, TraceParams};
 
 fn spearman(a: &[f64], b: &[f64]) -> f64 {
     fn ranks(x: &[f64]) -> Vec<f64> {
@@ -34,20 +34,20 @@ fn main() {
     let prof = probe(&spec, fs);
     // Sampled microarchs for the rank-correlation check.
     let uas: Vec<_> = all_microarchs().into_iter().step_by(11).collect();
+    let trace = TraceArena::build(
+        &code,
+        &spec,
+        TraceParams {
+            max_uops: 12_000,
+            seed: 4,
+        },
+    );
     let mut analytic = Vec::new();
     let mut cycle = Vec::new();
     for ua in &uas {
         let cfg = ua.with_fs(fs);
         analytic.push(evaluate(&prof, ua, &cfg).cycles_per_unit);
-        let trace = TraceGenerator::new(
-            &code,
-            &spec,
-            TraceParams {
-                max_uops: 12_000,
-                seed: 4,
-            },
-        );
-        cycle.push(simulate(&cfg, trace).cycles as f64);
+        cycle.push(simulate(&cfg, &trace).cycles as f64);
     }
     let rho = spearman(&analytic, &cycle);
     println!(
@@ -65,14 +65,6 @@ fn main() {
         std::hint::black_box(evaluate(&prof, &ua, &cfg));
     });
     bench("fidelity/cycle_sim_12k", || {
-        let trace = TraceGenerator::new(
-            &code,
-            &spec,
-            TraceParams {
-                max_uops: 12_000,
-                seed: 4,
-            },
-        );
-        std::hint::black_box(simulate(&cfg, trace));
+        std::hint::black_box(simulate(&cfg, &trace));
     });
 }

@@ -5,7 +5,7 @@
 use cisa_compiler::{compile, CompileOptions};
 use cisa_isa::FeatureSet;
 use cisa_sim::{simulate_with_prefetcher, CoreConfig};
-use cisa_workloads::{all_phases, generate, TraceGenerator, TraceParams};
+use cisa_workloads::{all_phases, generate, TraceArena, TraceParams};
 
 fn main() {
     let fs = FeatureSet::x86_64();
@@ -17,19 +17,16 @@ fn main() {
     );
     for spec in all_phases().iter().filter(|p| p.index == 0) {
         let code = compile(&generate(spec), &fs, &CompileOptions::default()).unwrap();
-        let run = |pf| {
-            let trace = TraceGenerator::new(
-                &code,
-                spec,
-                TraceParams {
-                    max_uops: 30_000,
-                    seed: 7,
-                },
-            );
-            simulate_with_prefetcher(&cfg, trace, pf)
-        };
-        let off = run(false);
-        let on = run(true);
+        let trace = TraceArena::build(
+            &code,
+            spec,
+            TraceParams {
+                max_uops: 30_000,
+                seed: 7,
+            },
+        );
+        let off = simulate_with_prefetcher(&cfg, &trace, false);
+        let on = simulate_with_prefetcher(&cfg, &trace, true);
         println!(
             "{:<12} {:>10.3} {:>12.3} {:>9.1}%",
             spec.benchmark,

@@ -1,10 +1,10 @@
 //! Figure 15: multiprogrammed throughput *including* migration and
 //! downgrade costs, on the best composite design per power budget.
 
+use cisa_bench::migration::MigrationSim;
 use cisa_bench::{Harness, POWER_BUDGETS};
 use cisa_explore::multicore::Objective;
 use cisa_explore::{par_map, SystemKind};
-use cisa_migrate::MigrationSim;
 
 fn main() {
     let h = Harness::load();

@@ -260,6 +260,7 @@ pub const SINGLE_THREAD_POWER_BUDGETS: [(&str, Budget); 4] = [
 ];
 
 pub mod ledger;
+pub mod migration;
 pub mod obs_report;
 pub mod timing;
 

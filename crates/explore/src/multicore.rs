@@ -105,6 +105,16 @@ impl Objective {
     }
 }
 
+/// Cycles charged for one migration between cores that share an
+/// encoding (every composite-ISA core, and a vendor core within its own
+/// ISA): a register-state move plus cold caches.
+pub const MIGRATION_CYCLES: f64 = 30_000.0;
+
+/// Units of phase work per scheduling interval, over which a migration
+/// amortizes. SimPoint intervals are long (hundreds of millions of
+/// instructions), so migration costs amortize over many units of work.
+pub const UNITS_PER_STEP: f64 = 50.0;
+
 /// Evaluation machinery shared by all searches.
 pub struct Evaluator<'a> {
     /// The design space.
@@ -377,26 +387,24 @@ impl<'a> Evaluator<'a> {
         }
         match (from, to) {
             (CoreChoice::Vendor(a, _), CoreChoice::Vendor(b, _)) if a != b => 3_000_000.0,
-            _ => 30_000.0,
+            _ => MIGRATION_CYCLES,
         }
     }
 
     /// Mean single-thread speedup (migrating to the best core per
     /// phase) over the reference core, with migration costs charged at
     /// every phase boundary where the best core changes. Each phase
-    /// amortizes its migration over `SINGLE_THREAD_UNITS` units of work
-    /// (SimPoint intervals are long).
+    /// amortizes its migration over [`UNITS_PER_STEP`] units of work.
     pub(crate) fn single_thread_speedup(&self, cores: &[CoreChoice; 4]) -> f64 {
-        const SINGLE_THREAD_UNITS: f64 = 50.0;
         let mut total = 0.0;
         for phases in &self.bench_phases {
             let mut t_ref = 0.0;
             let mut t_best = 0.0;
             let mut prev: Option<&CoreChoice> = None;
             for &p in phases {
-                t_ref += self.ref_time[p] * SINGLE_THREAD_UNITS;
+                t_ref += self.ref_time[p] * UNITS_PER_STEP;
                 let best = self.fastest(p, cores);
-                t_best += self.perf(p, best).cycles_per_unit * SINGLE_THREAD_UNITS;
+                t_best += self.perf(p, best).cycles_per_unit * UNITS_PER_STEP;
                 if let Some(prev) = prev {
                     t_best += self.migration_cycles(prev, best);
                 }

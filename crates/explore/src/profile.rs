@@ -391,7 +391,7 @@ pub fn probe(spec: &PhaseSpec, fs: FeatureSet) -> PhaseProfile {
 /// L1D/L2 cache geometries, the decode frontend with both L1I sizes,
 /// and the store-forward table — updates per micro-op in one streaming
 /// sweep over the arena columns. The three calibration simulations
-/// then replay the same arena instead of regenerating the trace.
+/// then read the same arena and share one decode-supply capture.
 /// Results are bit-identical to the multi-pass
 /// [`probe_compiled_reference`], which is kept as the executable
 /// specification and asserted equal in tests.
@@ -509,10 +509,9 @@ pub fn probe_compiled(spec: &PhaseSpec, code: &CompiledCode) -> PhaseProfile {
     // the two sets are never live at once.
     drop((l1d, l2, l1i));
     drop(_measure);
-    // Calibration simulations replay the arena (bit-identical to fresh
-    // trace generation; asserted in cisa-sim's tests) and share the
-    // captured decode-supply stream instead of re-walking the micro-op
-    // cache per core.
+    // Calibration simulations read the arena and share the captured
+    // decode-supply stream instead of re-walking the micro-op cache per
+    // core.
     let sims = {
         let _s = cisa_obs::span("calibrate");
         simulate_shared_frontend(
@@ -555,8 +554,9 @@ pub fn probe_compiled(spec: &PhaseSpec, code: &CompiledCode) -> PhaseProfile {
 /// for [`probe_compiled`]: it walks the trace once per measurement
 /// (mix, three predictor passes, two cache-geometry passes, the
 /// frontend pass, the store-forwarding pass with the historical
-/// unbounded `HashMap`) and regenerates the trace for each calibration
-/// simulation. Tests assert the fused implementation is bit-identical.
+/// unbounded `HashMap`) and runs each calibration simulation with its
+/// own decode-supply capture. Tests assert the fused implementation is
+/// bit-identical.
 pub fn probe_compiled_reference(spec: &PhaseSpec, code: &CompiledCode) -> PhaseProfile {
     PROBES_RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let fs = code.fs;
@@ -657,13 +657,12 @@ pub fn probe_compiled_reference(spec: &PhaseSpec, code: &CompiledCode) -> PhaseP
         }
     }
 
-    // Reference cycle simulations for calibration.
-    let ooo_res = simulate(&reference_ooo(fs), TraceGenerator::new(code, spec, params));
-    let ooo_large_res = simulate(
-        &reference_ooo_large(fs),
-        TraceGenerator::new(code, spec, params),
-    );
-    let io_res = simulate(&reference_io(fs), TraceGenerator::new(code, spec, params));
+    // Reference cycle simulations for calibration, each with its own
+    // decode frontend.
+    let arena = TraceArena::build(code, spec, params);
+    let ooo_res = simulate(&reference_ooo(fs), &arena);
+    let ooo_large_res = simulate(&reference_ooo_large(fs), &arena);
+    let io_res = simulate(&reference_io(fs), &arena);
     let ref_ooo_cpu = ooo_res.cycles as f64 / n;
     let ref_ooo_large_cpu = ooo_large_res.cycles as f64 / n;
     let ref_io_cpu = io_res.cycles as f64 / n;

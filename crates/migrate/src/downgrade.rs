@@ -28,7 +28,7 @@ use cisa_compiler::{compile, CompileOptions, CompiledBlock, CompiledCode};
 use cisa_isa::inst::{MachineInst, MacroOpcode, MemLocality, MemOperand, MemRole, Operand};
 use cisa_isa::{ArchReg, FeatureSet, SimdSupport};
 use cisa_sim::{simulate, CoreConfig};
-use cisa_workloads::{generate, PhaseSpec, TraceGenerator, TraceParams};
+use cisa_workloads::{generate, PhaseSpec, TraceArena, TraceParams};
 
 use crate::error::MigrateError;
 
@@ -333,11 +333,11 @@ pub fn downgrade_cost(
         seed: 0xD04,
     };
     let native_cfg = CoreConfig::reference(compiled_for);
-    let native = simulate(&native_cfg, TraceGenerator::new(&code, spec, params));
+    let native = simulate(&native_cfg, &TraceArena::build(&code, spec, params));
     let constrained_cfg = CoreConfig::reference(target);
     let emul = simulate(
         &constrained_cfg,
-        TraceGenerator::new(&emulated, spec, params),
+        &TraceArena::build(&emulated, spec, params),
     );
 
     // Normalize by work: both traces are uop-capped, so compare

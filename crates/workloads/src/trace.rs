@@ -8,10 +8,11 @@
 //! phase's locality profile (stack slots for spill code, advancing
 //! streams, uniform draws over the working set, pointer-chase regions).
 //!
-//! The produced [`DynUop`] stream is what the cycle-level pipeline
-//! models consume. PCs are real byte addresses from the encoder layout,
-//! so instruction-cache and micro-op-cache models see true code
-//! footprints (Thumb-like density effects included).
+//! The produced [`DynUop`] stream feeds the probe and the cycle-level
+//! pipeline models through a [`crate::TraceArena`], and SimPoint-style
+//! clustering directly. PCs are real byte addresses from the encoder
+//! layout, so instruction-cache and micro-op-cache models see true
+//! code footprints (Thumb-like density effects included).
 
 use cisa_compiler::ir::{BranchPattern, Terminator};
 use cisa_compiler::CompiledCode;
@@ -130,8 +131,6 @@ pub struct TraceGenerator {
     cur_uop: usize,
     emitted: usize,
     max_uops: usize,
-    /// Completed walks of the function (phase repetitions).
-    pub iterations: u64,
 }
 
 impl TraceGenerator {
@@ -228,13 +227,7 @@ impl TraceGenerator {
             cur_uop: 0,
             emitted: 0,
             max_uops: params.max_uops,
-            iterations: 0,
         }
-    }
-
-    /// Total static code bytes (for I-cache/footprint models).
-    pub(crate) fn code_bytes(&self) -> u64 {
-        self.blocks.last().map_or(0, |b| b.end_pc) - self.block_pcs.first().copied().unwrap_or(0)
     }
 
     fn mem_addr(&mut self, loc: MemLocality, bid: u32, iid: u32, wide_vec: bool) -> u64 {
@@ -432,7 +425,6 @@ impl Iterator for TraceGenerator {
             }
             Terminator::Ret => {
                 // Phase repeats: restart at the entry block.
-                self.iterations += 1;
                 self.cur_block = 0;
                 self.cur_inst = 0;
                 self.cur_uop = 0;

@@ -9,7 +9,7 @@ use composite_isa::compiler::{compile, CompileOptions};
 use composite_isa::isa::FeatureSet;
 use composite_isa::power::{core_budget, energy};
 use composite_isa::sim::{simulate, CoreConfig};
-use composite_isa::workloads::{all_phases, generate, TraceGenerator, TraceParams};
+use composite_isa::workloads::{all_phases, generate, TraceArena, TraceParams};
 
 fn main() {
     // Pick the register-pressure-heavy hmmer benchmark.
@@ -25,8 +25,8 @@ fn main() {
         let code = compile(&ir, &fs, &CompileOptions::default()).expect("compiles");
         let cfg = CoreConfig::reference(fs);
         let params = TraceParams::default();
-        let trace = TraceGenerator::new(&code, &spec, params);
-        let result = simulate(&cfg, trace);
+        let trace = TraceArena::build(&code, &spec, params);
+        let result = simulate(&cfg, &trace);
         let e = energy(&cfg, &result);
         let b = core_budget(&cfg);
         // Both runs execute the same number of micro-ops, but spill

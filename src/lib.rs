@@ -18,7 +18,8 @@
 //! - [`sim`] — in-order and out-of-order pipeline models
 //! - [`power`] — area/peak-power budgets and energy accounting
 //! - [`explore`] — the design-space exploration and multicore search
-//! - [`migrate`] — feature-downgrade emulation and migration replay
+//! - [`migrate`] — feature-downgrade emulation and its measured cost
+//!   (the Figure 15 migration replay is in `cisa-bench`)
 //!
 //! # Quickstart
 //!

@@ -6,7 +6,7 @@ use composite_isa::compiler::{compile, CompileOptions};
 use composite_isa::isa::{Complexity, FeatureSet};
 use composite_isa::power::energy;
 use composite_isa::sim::{simulate, CoreConfig};
-use composite_isa::workloads::{all_phases, generate, TraceGenerator, TraceParams};
+use composite_isa::workloads::{all_phases, generate, TraceArena, TraceParams};
 
 fn run(bench: &str, fs: FeatureSet, cfg: &CoreConfig, uops: usize) -> (f64, f64) {
     let spec = all_phases()
@@ -14,7 +14,7 @@ fn run(bench: &str, fs: FeatureSet, cfg: &CoreConfig, uops: usize) -> (f64, f64)
         .find(|p| p.benchmark == bench)
         .unwrap();
     let code = compile(&generate(&spec), &fs, &CompileOptions::default()).unwrap();
-    let trace = TraceGenerator::new(
+    let trace = TraceArena::build(
         &code,
         &spec,
         TraceParams {
@@ -22,7 +22,7 @@ fn run(bench: &str, fs: FeatureSet, cfg: &CoreConfig, uops: usize) -> (f64, f64)
             seed: 1,
         },
     );
-    let result = simulate(cfg, trace);
+    let result = simulate(cfg, &trace);
     let e = energy(cfg, &result);
     // Work-normalized: cycles per unit of phase work.
     let units = uops as f64 / code.stats.total_uops();
@@ -39,7 +39,7 @@ fn full_pipeline_runs_for_every_feature_set() {
     for fs in FeatureSet::all() {
         let code =
             compile(&ir, &fs, &CompileOptions::default()).unwrap_or_else(|e| panic!("{fs}: {e}"));
-        let trace = TraceGenerator::new(
+        let trace = TraceArena::build(
             &code,
             &spec,
             TraceParams {
@@ -48,7 +48,7 @@ fn full_pipeline_runs_for_every_feature_set() {
             },
         );
         let cfg = CoreConfig::reference(fs);
-        let r = simulate(&cfg, trace);
+        let r = simulate(&cfg, &trace);
         assert!(r.cycles > 0 && r.activity.uops == 4000, "{fs}");
         let e = energy(&cfg, &r);
         assert!(e.total_j > 0.0 && e.total_j.is_finite(), "{fs}");
@@ -131,4 +131,57 @@ fn code_density_shrinks_with_fewer_prefixes() {
         c64.stats.avg_inst_bytes,
         c16.stats.avg_inst_bytes
     );
+}
+
+/// Digest of [`simulator_outputs_match_pinned_digest`], taken when each
+/// simulation drove a live decode frontend micro-op by micro-op instead
+/// of replaying a captured supply stream.
+const SIM_DIGEST: u64 = 0xadfd_9c70_22ee_9829;
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins the cycle simulator's every output bit: the first phase of each
+/// benchmark on a full-x86 and a microx86 feature set, through the
+/// reference out-of-order core, the little in-order core and the
+/// reference core with the L1D stream prefetcher on.
+#[test]
+fn simulator_outputs_match_pinned_digest() {
+    use composite_isa::sim::simulate_with_prefetcher;
+    let mut text = String::new();
+    let mut seen = Vec::new();
+    for spec in all_phases() {
+        if seen.contains(&spec.benchmark) {
+            continue;
+        }
+        seen.push(spec.benchmark);
+        for fs in [
+            FeatureSet::x86_64(),
+            "microx86-16D-32W".parse::<FeatureSet>().unwrap(),
+        ] {
+            let code = compile(&generate(&spec), &fs, &CompileOptions::default()).unwrap();
+            let params = TraceParams {
+                max_uops: 30_000,
+                seed: 0xD16E,
+            };
+            let trace = TraceArena::build(&code, &spec, params);
+            let reference = CoreConfig::reference(fs);
+            for r in [
+                simulate(&reference, &trace),
+                simulate(&CoreConfig::little(fs), &trace),
+                simulate_with_prefetcher(&reference, &trace, true),
+            ] {
+                // `Debug` prints every field of the result, its activity
+                // counters and its stall breakdown.
+                text += &format!("{r:?}\n");
+            }
+        }
+    }
+    assert_eq!(seen.len(), 8, "one phase per benchmark");
+    let digest = fnv1a(text.as_bytes());
+    assert_eq!(digest, SIM_DIGEST, "simulator digest moved: {digest:#018x}");
 }

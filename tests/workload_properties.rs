@@ -5,7 +5,7 @@
 use composite_isa::compiler::{compile, CompileOptions};
 use composite_isa::isa::FeatureSet;
 use composite_isa::sim::{simulate, CoreConfig};
-use composite_isa::workloads::{all_phases, generate, TraceGenerator, TraceParams};
+use composite_isa::workloads::{all_phases, generate, TraceArena, TraceGenerator, TraceParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,7 +26,7 @@ fn compile_trace_simulate_is_total() {
                 assert!(inst.legal_under(&fs), "{inst} illegal under {fs}");
             }
         }
-        let trace = TraceGenerator::new(
+        let trace = TraceArena::build(
             &code,
             spec,
             TraceParams {
@@ -34,7 +34,7 @@ fn compile_trace_simulate_is_total() {
                 seed: 9,
             },
         );
-        let r = simulate(&CoreConfig::reference(fs), trace);
+        let r = simulate(&CoreConfig::reference(fs), &trace);
         assert!(r.cycles >= 1500 / 4, "IPC cannot exceed pipeline width");
         assert_eq!(r.activity.uops, 1500);
     }
