@@ -1,7 +1,7 @@
 //! Figure 12: execution-time breakdown by feature set on the best
 //! composite-ISA design optimized for single-thread performance at 10W.
 
-use cisa_bench::{feature_label, print_time_shares, Harness, SEARCH_CONFIG};
+use cisa_bench::{feature_label, print_time_shares, Harness};
 use cisa_explore::multicore::{search, Budget, Objective};
 use cisa_explore::{candidates, SystemKind};
 use std::collections::BTreeMap;
@@ -15,7 +15,6 @@ fn main() {
         &all,
         Objective::SingleThread,
         Budget::PeakPower(10.0),
-        &SEARCH_CONFIG,
     )
     .expect("feasible at 10W");
     println!("Figure 12: best single-thread composite design at 10W:");

@@ -2,7 +2,7 @@
 //! composite-ISA design optimized for multiprogrammed throughput at
 //! 48mm^2 (threads contend, so second-choice cores get used too).
 
-use cisa_bench::{feature_label, print_time_shares, Harness, SEARCH_CONFIG};
+use cisa_bench::{feature_label, print_time_shares, Harness};
 use cisa_explore::multicore::{search, Budget, Evaluator, Objective};
 use cisa_explore::{candidates, SystemKind};
 use std::collections::BTreeMap;
@@ -11,14 +11,8 @@ fn main() {
     let h = Harness::load();
     let eval = h.evaluator();
     let all = candidates(&h.space, SystemKind::CompositeFull);
-    let r = search(
-        &eval,
-        &all,
-        Objective::Throughput,
-        Budget::Area(48.0),
-        &SEARCH_CONFIG,
-    )
-    .expect("feasible at 48mm2");
+    let r =
+        search(&eval, &all, Objective::Throughput, Budget::Area(48.0)).expect("feasible at 48mm2");
     println!("Figure 13: best multiprogrammed composite design at 48mm2:");
     for c in &r.cores {
         println!("  {}", c.describe(&h.space));

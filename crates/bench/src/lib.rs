@@ -16,9 +16,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 
-use cisa_explore::multicore::{
-    search, Budget, CoreChoice, Evaluator, Objective, SearchConfig, SearchResult,
-};
+use cisa_explore::multicore::{search, Budget, CoreChoice, Evaluator, Objective, SearchResult};
 use cisa_explore::{
     candidates, constrained_candidates, par_map, probes_run, search_system,
     sensitivity_constraints, DesignSpace, PerfTable, SweepRunner, SystemKind,
@@ -109,7 +107,7 @@ impl Harness {
             .flat_map(|&kind| budgets.iter().map(move |&(_, budget)| (kind, budget)))
             .collect();
         par_map(&grid, self.runner.threads(), |&(kind, budget)| {
-            search_system(eval, kind, objective, budget, &SEARCH_CONFIG)
+            search_system(eval, kind, objective, budget)
         })
     }
 
@@ -128,13 +126,7 @@ impl Harness {
                 .map(|(name, c)| (name, constrained_candidates(&self.space, &c))),
         );
         let results = par_map(&rows, self.runner.threads(), |(_, cands)| {
-            search(
-                eval,
-                cands,
-                Objective::Throughput,
-                Budget::Area(48.0),
-                &SEARCH_CONFIG,
-            )
+            search(eval, cands, Objective::Throughput, Budget::Area(48.0))
         });
         rows.into_iter()
             .map(|(name, _)| name)
@@ -142,14 +134,6 @@ impl Harness {
             .collect()
     }
 }
-
-/// The search configuration of every figure and table (the ablations
-/// vary it).
-pub const SEARCH_CONFIG: SearchConfig = SearchConfig {
-    restarts: 2,
-    max_passes: 12,
-    pool_cap: 120,
-};
 
 /// Prints a labelled (organization x budget) table of a
 /// [`Harness::search_grid`] over [`SystemKind::ALL`]: a header of budget

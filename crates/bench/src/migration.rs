@@ -184,7 +184,7 @@ impl<'a> MigrationSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cisa_explore::multicore::{search, Budget, Objective, SearchConfig};
+    use cisa_explore::multicore::{search, Budget, Objective};
     use cisa_explore::{DesignSpace, PerfTable, SweepRunner};
     use std::sync::OnceLock;
 
@@ -203,19 +203,8 @@ mod tests {
         let (space, table) = fixtures();
         let eval = Evaluator::new(space, table, 8);
         let cands: Vec<CoreChoice> = space.ids().map(CoreChoice::Composite).collect();
-        let cfg = SearchConfig {
-            pool_cap: 70,
-            restarts: 1,
-            ..Default::default()
-        };
-        let best = search(
-            &eval,
-            &cands,
-            Objective::Throughput,
-            Budget::Area(64.0),
-            &cfg,
-        )
-        .expect("feasible");
+        let best =
+            search(&eval, &cands, Objective::Throughput, Budget::Area(64.0)).expect("feasible");
         let mut sim = MigrationSim::new(&eval);
         let report = sim.replay(&best.cores).expect("fault-free replay");
         assert!(report.migrations > 0, "threads must migrate");

@@ -1,7 +1,7 @@
 //! The shared search grid is a row-major sweep of `search_system`:
 //! every cell carries the cores and score bits of a direct call.
 
-use cisa_bench::{Harness, SEARCH_CONFIG};
+use cisa_bench::Harness;
 use cisa_explore::multicore::{Budget, Objective};
 use cisa_explore::{search_system, DesignSpace, PerfTable, SweepRunner, SystemKind};
 use cisa_workloads::all_phases;
@@ -27,7 +27,7 @@ fn grid_cells_equal_direct_searches() {
     for (k, &kind) in SystemKind::ALL.iter().enumerate() {
         for (b, &(name, budget)) in budgets.iter().enumerate() {
             let cell = grid[k * budgets.len() + b].as_ref();
-            let direct = search_system(&eval, kind, Objective::Throughput, budget, &SEARCH_CONFIG);
+            let direct = search_system(&eval, kind, Objective::Throughput, budget);
             let (cell, direct) = (
                 cell.unwrap_or_else(|| panic!("{kind:?} at {name} infeasible")),
                 direct.expect("direct search feasible"),

@@ -16,8 +16,8 @@
 //! - the full [`PhaseSpec`] generation fingerprint
 //!   ([`PhaseSpec::fingerprint`]),
 //! - the feature set (display form, e.g. `x86-16D-64W-P`),
-//! - the probe parameters ([`crate::profile::PROBE_UOPS`] and the fixed
-//!   trace seed),
+//! - the probe parameters ([`crate::profile::PROBE_UOPS`] and
+//!   [`crate::profile::PROBE_SEED`]),
 //! - [`SCHEMA_VERSION`], bumped whenever the probe computation or the
 //!   [`PhaseProfile`] layout changes.
 //!
@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cisa_isa::FeatureSet;
 use cisa_workloads::PhaseSpec;
 
-use crate::profile::{PhaseProfile, PROBE_UOPS};
+use crate::profile::{PhaseProfile, PROBE_SEED, PROBE_UOPS};
 
 /// Version of the probe computation + serialized profile layout. Bump
 /// on any change to `probe`, `fit`, or the `PhaseProfile` fields.
@@ -61,10 +61,6 @@ pub const SCHEMA_VERSION: u32 = 2;
 
 /// Magic bytes heading every cache file.
 const FILE_MAGIC: u64 = 0xC15A_CAC4_E000_0000 | SCHEMA_VERSION as u64;
-
-/// The fixed trace seed probes use (kept in the key so a future change
-/// invalidates old entries).
-const TRACE_SEED: u64 = 0xBEEF;
 
 /// A kill point in the entry-write protocol (create temp → write →
 /// rename). [`ProfileCache::store_crashing`] simulates a process dying
@@ -158,7 +154,7 @@ impl ProfileCache {
             "v{} uops={} seed={:#x} fs={} | {}",
             SCHEMA_VERSION,
             PROBE_UOPS,
-            TRACE_SEED,
+            PROBE_SEED,
             fs,
             spec.fingerprint()
         );

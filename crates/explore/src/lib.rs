@@ -46,10 +46,10 @@ pub use cache::{CrashPoint, ProfileCache, RecoveryReport};
 pub use faults::{FaultDomain, FaultPlan, InjectedFault};
 pub use interval::{evaluate, evaluate_block, unit_energy, PhasePerf};
 pub use multicore::{
-    reference_design, search, Budget, CoreChoice, Evaluator, Objective, SearchConfig, SearchResult,
+    reference_design, search, Budget, CoreChoice, Evaluator, Objective, SearchResult,
 };
 pub use profile::{
-    codegen_fingerprint, probe, probes_run, PhaseProfile, StoreForwardTable, PROBE_UOPS,
+    codegen_fingerprint, probe, probes_run, PhaseProfile, StoreForwardTable, PROBE_SEED, PROBE_UOPS,
 };
 pub use runner::{
     par_map, par_map_isolated, threads, ItemError, ProbeDedup, SweepReport, SweepRunner,

@@ -359,7 +359,9 @@ impl<'a> Evaluator<'a> {
                     // Idle energy of early-finishing cores.
                     for (t, row) in perf.iter().enumerate() {
                         let idle_cycles = step_time - row[perm[t]].cycles_per_unit;
-                        step_energy += 0.3 * peaks[perm[t]] * idle_cycles / cisa_power::CLOCK_HZ;
+                        step_energy +=
+                            cisa_power::IDLE_POWER_FRACTION * peaks[perm[t]] * idle_cycles
+                                / cisa_power::CLOCK_HZ;
                     }
                     let cost = step_energy * step_time;
                     if cost < best {
@@ -515,26 +517,12 @@ fn best_assignment(s: &[[f64; 4]; 4]) -> ([usize; 4], f64) {
     best
 }
 
-/// Search configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct SearchConfig {
-    /// Random restarts in addition to the greedy seed.
-    pub restarts: u32,
-    /// Hill-climbing pass cap.
-    pub max_passes: u32,
-    /// Candidate pool cap after proxy ranking.
-    pub pool_cap: usize,
-}
-
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig {
-            restarts: 2,
-            max_passes: 12,
-            pool_cap: 140,
-        }
-    }
-}
+/// Candidate pool cap after proxy ranking, and random restarts beside
+/// the cheapest and best-homogeneous starts: the values every golden
+/// figure and table was produced with. They stay fixed until a search
+/// whose answer does not depend on them replaces this heuristic.
+const POOL_CAP: usize = 120;
+const RESTARTS: u64 = 2;
 
 /// Result of a multicore search.
 #[derive(Debug, Clone)]
@@ -553,24 +541,57 @@ pub fn search(
     candidates: &[CoreChoice],
     objective: Objective,
     budget: Budget,
-    config: &SearchConfig,
 ) -> Option<SearchResult> {
-    search_with_seeds(eval, candidates, objective, budget, config, &[], false)
+    search_with_seeds(eval, candidates, objective, budget, &[])
+}
+
+/// A chip's score, or `-inf` when it breaks the budget.
+fn chip_score(
+    eval: &Evaluator<'_>,
+    cores: &[CoreChoice; 4],
+    objective: Objective,
+    budget: Budget,
+) -> f64 {
+    if !eval.feasible(cores, budget, objective) {
+        return f64::NEG_INFINITY;
+    }
+    eval.score(cores, objective)
+}
+
+/// The homogeneous baseline: the best chip of four identical cores
+/// (the first on ties), exact by one scan over every candidate.
+pub(crate) fn search_homogeneous(
+    eval: &Evaluator<'_>,
+    candidates: &[CoreChoice],
+    objective: Objective,
+    budget: Budget,
+) -> Option<SearchResult> {
+    let _search = cisa_obs::span("search");
+    cisa_obs::counter("search/runs", 1);
+    cisa_obs::counter("search/exhaustive_chips", candidates.len() as u64);
+    let mut best: Option<SearchResult> = None;
+    for c in candidates {
+        let chip = [*c; 4];
+        let s = chip_score(eval, &chip, objective, budget);
+        if s.is_finite() && best.as_ref().is_none_or(|b| s > b.score) {
+            best = Some(SearchResult {
+                cores: chip,
+                score: s,
+            });
+        }
+    }
+    best
 }
 
 /// [`search`] with additional warm-start chips (used by the
 /// composite-ISA search to start from the best designs of its subset
-/// organizations, guaranteeing it never falls below them), or, when
-/// `homogeneous`, over chips of four identical cores only (the
-/// homogeneous baseline).
+/// organizations, guaranteeing it never falls below them).
 pub(crate) fn search_with_seeds(
     eval: &Evaluator<'_>,
     candidates: &[CoreChoice],
     objective: Objective,
     budget: Budget,
-    config: &SearchConfig,
     warm_starts: &[[CoreChoice; 4]],
-    homogeneous: bool,
 ) -> Option<SearchResult> {
     let _search = cisa_obs::span("search");
     cisa_obs::counter("search/runs", 1);
@@ -621,7 +642,7 @@ pub(crate) fn search_with_seeds(
     // Keep the head of the ranking plus per-phase specialists and the
     // best design of every feature set (so a big candidate pool cannot
     // crowd out the designs a smaller system organization would find).
-    let mut kept: Vec<CoreChoice> = pool.iter().take(config.pool_cap).copied().collect();
+    let mut kept: Vec<CoreChoice> = pool.iter().take(POOL_CAP).copied().collect();
     {
         let mut seen_fs: Vec<(cisa_isa::FeatureSet, u32)> = Vec::new();
         for c in &pool {
@@ -666,30 +687,7 @@ pub(crate) fn search_with_seeds(
     }
     let pool = kept;
 
-    let score_of = |cores: &[CoreChoice; 4]| -> f64 {
-        if !eval.feasible(cores, budget, objective) {
-            return f64::NEG_INFINITY;
-        }
-        eval.score(cores, objective)
-    };
-
-    // Homogeneous mode is exact by construction: one pass over the pool
-    // scores every homogeneous chip.
-    if homogeneous {
-        cisa_obs::counter("search/exhaustive_chips", pool.len() as u64);
-        let mut best: Option<SearchResult> = None;
-        for c in &pool {
-            let chip = [*c; 4];
-            let s = score_of(&chip);
-            if s.is_finite() && best.as_ref().is_none_or(|b| s > b.score) {
-                best = Some(SearchResult {
-                    cores: chip,
-                    score: s,
-                });
-            }
-        }
-        return best;
-    }
+    let score_of = |cores: &[CoreChoice; 4]| chip_score(eval, cores, objective, budget);
 
     // Small pools: exhaustive multiset enumeration, parallel over the
     // first slot. This is the true optimum (the pruning above keeps the
@@ -753,8 +751,9 @@ pub(crate) fn search_with_seeds(
                 .expect("finite")
         })
         .expect("pool non-empty");
-    // Best homogeneous-feasible chip: makes the search at least as good
-    // as the best homogeneous design of any feature set.
+    // Best homogeneous-feasible chip (the last on ties): makes the
+    // search at least as good as the best homogeneous design of any
+    // feature set.
     let best_hom = pool
         .iter()
         .map(|c| ([*c; 4], score_of(&[*c; 4])))
@@ -774,18 +773,27 @@ pub(crate) fn search_with_seeds(
         Warm(usize),
     }
     let mut starts: Vec<Start> = vec![Start::Cheapest, Start::BestHom];
-    for r in 0..config.restarts {
-        starts.push(Start::Random(r as u64));
+    for r in 0..RESTARTS {
+        starts.push(Start::Random(r));
     }
     for w in 0..warm_starts.len() {
         starts.push(Start::Warm(w));
     }
 
+    // Slot-wise replacement to a fixed point: each pass strictly raises
+    // a finite score over a finite pool, so the climb terminates. A slot
+    // is not re-scanned while the chip is unchanged since its last scan,
+    // which would see the same trials and find nothing better.
     let climb = |cores: &mut [CoreChoice; 4], cur: &mut f64| {
-        for _ in 0..config.max_passes {
+        let mut changes = 0u32;
+        let mut scanned_at = [None; 4];
+        loop {
             cisa_obs::counter("search/climb_passes", 1);
             let mut improved = false;
             for slot in 0..4 {
+                if scanned_at[slot] == Some(changes) {
+                    continue;
+                }
                 let mut best_slot = cores[slot];
                 let mut best_score = *cur;
                 for cand in &pool {
@@ -801,7 +809,9 @@ pub(crate) fn search_with_seeds(
                     cores[slot] = best_slot;
                     *cur = best_score;
                     improved = true;
+                    changes += 1;
                 }
+                scanned_at[slot] = Some(changes);
             }
             if !improved {
                 break;
@@ -899,17 +909,11 @@ mod tests {
         let (space, table) = fixtures();
         let eval = Evaluator::new(space, table, 8);
         let cands = composite_candidates(space);
-        let cfg = SearchConfig {
-            pool_cap: 60,
-            restarts: 1,
-            ..Default::default()
-        };
         let r = search(
             &eval,
             &cands,
             Objective::Throughput,
             Budget::PeakPower(40.0),
-            &cfg,
         )
         .expect("feasible");
         let total: f64 = r.cores.iter().map(|c| eval.budget(c).1).sum();
@@ -922,17 +926,11 @@ mod tests {
         let (space, table) = fixtures();
         let eval = Evaluator::new(space, table, 8);
         let cands = composite_candidates(space);
-        let cfg = SearchConfig {
-            pool_cap: 60,
-            restarts: 1,
-            ..Default::default()
-        };
         let tight = search(
             &eval,
             &cands,
             Objective::Throughput,
             Budget::PeakPower(20.0),
-            &cfg,
         )
         .expect("feasible")
         .score;
@@ -941,7 +939,6 @@ mod tests {
             &cands,
             Objective::Throughput,
             Budget::PeakPower(60.0),
-            &cfg,
         )
         .expect("feasible")
         .score;
@@ -954,31 +951,19 @@ mod tests {
     #[test]
     fn composite_beats_single_isa_heterogeneous() {
         // The paper's headline: feature diversity adds performance over
-        // hardware heterogeneity alone, under a tight budget.
+        // hardware heterogeneity alone, under a tight budget, through
+        // the organization searches the figures print.
+        use crate::systems::{search_system, SystemKind};
         let (space, table) = fixtures();
         let eval = Evaluator::new(space, table, 8);
-        let all = composite_candidates(space);
-        let x86_idx = space
-            .feature_sets
-            .iter()
-            .position(|f| *f == cisa_isa::FeatureSet::x86_64())
-            .unwrap() as u16;
-        let single_isa: Vec<CoreChoice> = space
-            .ids()
-            .filter(|id| id.fs == x86_idx)
-            .map(CoreChoice::Composite)
-            .collect();
-        let cfg = SearchConfig {
-            pool_cap: 80,
-            ..Default::default()
-        };
         let budget = Budget::PeakPower(20.0);
-        let composite = search(&eval, &all, Objective::Throughput, budget, &cfg)
-            .expect("feasible")
-            .score;
-        let single = search(&eval, &single_isa, Objective::Throughput, budget, &cfg)
-            .expect("feasible")
-            .score;
+        let score = |kind| {
+            search_system(&eval, kind, Objective::Throughput, budget)
+                .expect("feasible")
+                .score
+        };
+        let composite = score(SystemKind::CompositeFull);
+        let single = score(SystemKind::SingleIsaHetero);
         assert!(
             composite >= single,
             "composite {composite} must match/beat single-ISA {single}"
@@ -999,18 +984,11 @@ mod tests {
             .filter(|id| id.fs == x86_idx)
             .map(CoreChoice::Composite)
             .collect();
-        let cfg = SearchConfig {
-            pool_cap: 50,
-            ..Default::default()
-        };
-        let r = search_with_seeds(
+        let r = search_homogeneous(
             &eval,
             &cands,
             Objective::Throughput,
             Budget::PeakPower(40.0),
-            &cfg,
-            &[],
-            true,
         )
         .expect("feasible");
         assert!(
@@ -1024,10 +1002,6 @@ mod tests {
         let (space, table) = fixtures();
         let eval = Evaluator::new(space, table, 6);
         let cands = composite_candidates(space);
-        let cfg = SearchConfig {
-            pool_cap: 60,
-            ..Default::default()
-        };
         // 10W: no single core may exceed it, but four such cores are
         // allowed (only one is on at a time).
         let r = search(
@@ -1035,7 +1009,6 @@ mod tests {
             &cands,
             Objective::SingleThread,
             Budget::PeakPower(10.0),
-            &cfg,
         )
         .expect("feasible");
         for c in &r.cores {
@@ -1048,11 +1021,7 @@ mod tests {
         let (space, table) = fixtures();
         let eval = Evaluator::new(space, table, 6);
         let cands = composite_candidates(space);
-        let cfg = SearchConfig {
-            pool_cap: 60,
-            ..Default::default()
-        };
-        let r = search(&eval, &cands, Objective::Edp, Budget::Area(80.0), &cfg).expect("feasible");
+        let r = search(&eval, &cands, Objective::Edp, Budget::Area(80.0)).expect("feasible");
         assert!(r.score > 0.6, "EDP gain {}", r.score);
     }
 
@@ -1061,13 +1030,7 @@ mod tests {
         let (space, table) = fixtures();
         let eval = Evaluator::new(space, table, 4);
         let cands = composite_candidates(space);
-        let r = search(
-            &eval,
-            &cands,
-            Objective::Throughput,
-            Budget::PeakPower(1.0),
-            &SearchConfig::default(),
-        );
+        let r = search(&eval, &cands, Objective::Throughput, Budget::PeakPower(1.0));
         assert!(r.is_none(), "1W cannot fit any core");
     }
 
@@ -1135,7 +1098,7 @@ mod oracle_tests {
         }
         assert!(best.is_finite(), "some chip must fit 40W");
 
-        let found = search(&eval, &pool, objective, budget, &SearchConfig::default())
+        let found = search(&eval, &pool, objective, budget)
             .expect("feasible")
             .score;
         assert!(

@@ -26,6 +26,9 @@ use cisa_workloads::{generate, DynUop, PhaseSpec, TraceArena, TraceGenerator, Tr
 /// Trace length used by probes (micro-ops).
 pub const PROBE_UOPS: usize = 48_000;
 
+/// The fixed trace seed probes use (part of the probe cache key).
+pub const PROBE_SEED: u64 = 0xBEEF;
+
 /// Microarchitecture-independent characteristics of one (phase, feature
 /// set) pair, plus the two calibration fits.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -402,7 +405,7 @@ pub fn probe_compiled(spec: &PhaseSpec, code: &CompiledCode) -> PhaseProfile {
     let fs = code.fs;
     let params = TraceParams {
         max_uops: PROBE_UOPS,
-        seed: 0xBEEF,
+        seed: PROBE_SEED,
     };
     let arena = {
         let _s = cisa_obs::span("arena");
@@ -562,7 +565,7 @@ pub fn probe_compiled_reference(spec: &PhaseSpec, code: &CompiledCode) -> PhaseP
     let fs = code.fs;
     let params = TraceParams {
         max_uops: PROBE_UOPS,
-        seed: 0xBEEF,
+        seed: PROBE_SEED,
     };
     let trace: Vec<DynUop> = TraceGenerator::new(code, spec, params).collect();
     let n = trace.len().max(1) as f64;

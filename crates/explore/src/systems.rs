@@ -5,7 +5,7 @@
 use cisa_isa::{FeatureConstraint, FeatureSet, VendorIsa};
 
 use crate::multicore::{
-    search_with_seeds, Budget, CoreChoice, Evaluator, Objective, SearchConfig, SearchResult,
+    search_homogeneous, search_with_seeds, Budget, CoreChoice, Evaluator, Objective, SearchResult,
 };
 use crate::space::DesignSpace;
 
@@ -109,12 +109,12 @@ pub fn search_system(
     kind: SystemKind,
     objective: Objective,
     budget: Budget,
-    config: &SearchConfig,
 ) -> Option<SearchResult> {
     let cands = candidates(eval.space, kind);
-    if kind != SystemKind::CompositeFull {
-        let homogeneous = kind == SystemKind::Homogeneous;
-        return search_with_seeds(eval, &cands, objective, budget, config, &[], homogeneous);
+    match kind {
+        SystemKind::Homogeneous => return search_homogeneous(eval, &cands, objective, budget),
+        SystemKind::CompositeFull => {}
+        _ => return search_with_seeds(eval, &cands, objective, budget, &[]),
     }
     // The full composite space is a superset of the fixed-set and
     // single-ISA spaces, but a 4,680-candidate local search can get
@@ -124,12 +124,12 @@ pub fn search_system(
     let subs = [SystemKind::X86izedFixed, SystemKind::SingleIsaHetero];
     let warm: Vec<[CoreChoice; 4]> =
         crate::runner::par_map(&subs, crate::runner::threads(), |&sub| {
-            search_system(eval, sub, objective, budget, config).map(|r| r.cores)
+            search_system(eval, sub, objective, budget).map(|r| r.cores)
         })
         .into_iter()
         .flatten()
         .collect();
-    search_with_seeds(eval, &cands, objective, budget, config, &warm, false)
+    search_with_seeds(eval, &cands, objective, budget, &warm)
 }
 
 /// The ten constraints of the Figure 9/10/11 sensitivity study.
@@ -217,15 +217,10 @@ mod tests {
         // composite-full >= vendor hetero.
         let (space, table) = fixtures();
         let eval = Evaluator::new(space, table, 10);
-        let cfg = SearchConfig {
-            pool_cap: 90,
-            restarts: 1,
-            ..Default::default()
-        };
         let budget = Budget::PeakPower(20.0);
         let mut scores = std::collections::HashMap::new();
         for kind in SystemKind::ALL {
-            let r = search_system(&eval, kind, Objective::Throughput, budget, &cfg)
+            let r = search_system(&eval, kind, Objective::Throughput, budget)
                 .unwrap_or_else(|| panic!("{kind:?} infeasible at 20W"));
             scores.insert(kind, r.score);
         }
@@ -256,18 +251,12 @@ mod tests {
         // vendor ISAs (trailing slightly is acceptable).
         let (space, table) = fixtures();
         let eval = Evaluator::new(space, table, 10);
-        let cfg = SearchConfig {
-            pool_cap: 90,
-            restarts: 1,
-            ..Default::default()
-        };
         let budget = Budget::Area(64.0);
         let xi = search_system(
             &eval,
             SystemKind::X86izedFixed,
             Objective::Throughput,
             budget,
-            &cfg,
         )
         .expect("feasible")
         .score;
@@ -276,7 +265,6 @@ mod tests {
             SystemKind::VendorHetero,
             Objective::Throughput,
             budget,
-            &cfg,
         )
         .expect("feasible")
         .score;

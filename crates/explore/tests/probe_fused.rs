@@ -93,7 +93,7 @@ fn full_grid_matches_pinned_digest() {
 fn bounded_forward_table_matches_hashmap_on_all_phases() {
     let params = TraceParams {
         max_uops: cisa_explore::PROBE_UOPS,
-        seed: 0xBEEF,
+        seed: cisa_explore::PROBE_SEED,
     };
     let mut any_forwarding = false;
     for spec in all_phases() {

@@ -15,7 +15,7 @@
 //! may only start a thread on a core when the chip's active peak power
 //! plus the candidate core's stays under the cap.
 
-use cisa_explore::multicore::{search, Budget, CoreChoice, Evaluator, Objective, SearchConfig};
+use cisa_explore::multicore::{search, Budget, CoreChoice, Evaluator, Objective};
 use cisa_explore::{DesignId, DesignSpace, PerfTable, PhasePerf};
 
 use crate::workload::Workload;
@@ -150,16 +150,10 @@ impl FleetSpec {
     ) -> FleetSpec {
         let eval = Evaluator::new(space, table, 8);
         let candidates: Vec<CoreChoice> = space.ids().map(CoreChoice::Composite).collect();
-        let cfg = SearchConfig {
-            pool_cap: 60,
-            restarts: 1,
-            ..Default::default()
-        };
         let mut designs = Vec::new();
         for &w in budgets_w {
             for (objective, tag) in [(Objective::Throughput, "tp"), (Objective::Edp, "edp")] {
-                let Some(r) = search(&eval, &candidates, objective, Budget::PeakPower(w), &cfg)
-                else {
+                let Some(r) = search(&eval, &candidates, objective, Budget::PeakPower(w)) else {
                     continue;
                 };
                 let mut ids = [DesignId { fs: 0, ua: 0 }; 4];

@@ -20,7 +20,7 @@
 //! on a core requires `active_mw + core.peak_mw <= cap_mw`; the
 //! chip's peak observed `active_mw` is recorded so tests can assert
 //! no chip ever exceeds its cap at any event timestamp. Idle cores
-//! burn [`IDLE_POWER_FRACTION`] of their peak (the same constant the
+//! burn [`IDLE_POWER_FRACTION`] of their peak (the constant the
 //! multicore evaluator charges for early-finishing cores).
 //!
 //! # Scheduling
@@ -45,7 +45,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use cisa_explore::{par_map, SweepRunner};
 use cisa_obs::LocalHist;
-use cisa_power::CLOCK_HZ;
+use cisa_power::{CLOCK_HZ, IDLE_POWER_FRACTION};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -54,10 +54,6 @@ use crate::migration::{class_latency_cycles, MigrationMatrix, MIGRATION_POWER_FR
 use crate::policy::{Candidate, PlacementCtx, SchedulerPolicy};
 use crate::report::{percentile, FleetReport, PolicyReport};
 use crate::workload::{ArrivalParams, ArrivalStream, Workload};
-
-/// Fraction of peak power an idle core draws (matches the multicore
-/// evaluator's idle charge).
-pub const IDLE_POWER_FRACTION: f64 = 0.3;
 
 /// Fleet-run configuration (everything except the hardware roster,
 /// which lives in [`FleetSpec`], and the policy).

@@ -15,8 +15,10 @@ use crate::model::{core_budget, CoreBudget};
 /// Clock frequency assumed for time/EDP conversions.
 pub const CLOCK_HZ: f64 = 3.0e9;
 
-/// Idle (leakage + clock-tree) power as a fraction of peak.
-const IDLE_FRACTION: f64 = 0.30;
+/// Idle (leakage + clock-tree) power as a fraction of peak: the static
+/// energy of every priced phase, the multicore evaluator's charge for
+/// cores that finish early, and the fleet's idle-core draw.
+pub const IDLE_POWER_FRACTION: f64 = 0.3;
 
 /// Per-event dynamic energies in nanojoules (baseline structure sizes;
 /// scaled by the actual structure's size).
@@ -148,7 +150,7 @@ pub fn energy_scaled(peak_power_w: f64, scales: &EnergyScales, result: &SimResul
         * nj;
 
     let seconds = result.cycles as f64 / CLOCK_HZ;
-    let static_j = peak_power_w * IDLE_FRACTION * seconds;
+    let static_j = peak_power_w * IDLE_POWER_FRACTION * seconds;
 
     let total_j = fetch_j + decode_j + bpred_j + scheduler_j + regfile_j + fu_j + mem_j + static_j;
     EnergyReport {

@@ -13,5 +13,7 @@
 pub mod energy;
 pub mod model;
 
-pub use energy::{energy, energy_scaled, EnergyReport, EnergyScales, CLOCK_HZ};
+pub use energy::{
+    energy, energy_scaled, EnergyReport, EnergyScales, CLOCK_HZ, IDLE_POWER_FRACTION,
+};
 pub use model::{chip_budget, core_budget, ChipBudget, CoreBreakdown, CoreBudget, StructureCost};

@@ -6,7 +6,7 @@
 //! cargo run --release --example design_explorer
 //! ```
 
-use composite_isa::explore::multicore::{Budget, Evaluator, Objective, SearchConfig};
+use composite_isa::explore::multicore::{Budget, Evaluator, Objective};
 use composite_isa::explore::{search_system, DesignSpace, PerfTable, SweepRunner, SystemKind};
 use composite_isa::workloads::all_phases;
 
@@ -24,17 +24,10 @@ fn main() {
     println!("probing {} phases...", phases.len());
     let (table, _) = PerfTable::build(&space, &phases, &SweepRunner::default());
     let eval = Evaluator::new(&space, &table, 12);
-    let cfg = SearchConfig::default();
 
     for kind in [SystemKind::SingleIsaHetero, SystemKind::CompositeFull] {
-        let r = search_system(
-            &eval,
-            kind,
-            Objective::Throughput,
-            Budget::PeakPower(40.0),
-            &cfg,
-        )
-        .expect("40W is feasible");
+        let r = search_system(&eval, kind, Objective::Throughput, Budget::PeakPower(40.0))
+            .expect("40W is feasible");
         println!("\n{} (score {:.3}):", kind.label(), r.score);
         for c in &r.cores {
             println!("  {}", c.describe(&space));

@@ -32,11 +32,10 @@ fn fixtures() -> &'static (DesignSpace, PerfTable) {
 fn scores(objective: Objective, budget: Budget) -> Vec<(SystemKind, f64)> {
     let (space, table) = fixtures();
     let eval = Evaluator::new(space, table, 12);
-    let cfg = composite_isa::explore::multicore::SearchConfig::default();
     SystemKind::ALL
         .iter()
         .map(|&k| {
-            let s = search_system(&eval, k, objective, budget, &cfg)
+            let s = search_system(&eval, k, objective, budget)
                 .map(|r| r.score)
                 .unwrap_or(0.0);
             (k, s)
