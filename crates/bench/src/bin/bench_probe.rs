@@ -5,14 +5,14 @@
 //! Emits `BENCH_probe.json` with per-phase cold probe wall times, the
 //! sweep and fill wall times, and the work they did: probes run, dedup
 //! hits, calibration simulations (`sim/runs`, `sim/uops`,
-//! `sim/cycles`) and design points filled (`table/block_evals`). The
+//! `sim/cycles`) and design points filled (`table/evals`). The
 //! `sim/*` and `table/*` counts are `cisa-obs` counter deltas around
 //! the sweep and the fill alone. With `--check <baseline.json>` it
 //! gates ([`cisa_bench::ledger::PROBE`]): every count must equal the
 //! committed baseline's, since the work is a pure function of the
 //! workload suite at any `CISA_THREADS`. Wall times are recorded, not
 //! gated; what the probes and the fill compute is pinned bit-for-bit
-//! by the `probe_fused` and `interval_block` test suites.
+//! by the `probe_fused` suite's grid and table digests.
 //!
 //! Usage: `bench_probe [--out <path>] [--check <baseline.json>]`
 
@@ -67,21 +67,21 @@ fn main() {
     let fill_s = t.elapsed().as_secs_f64();
     std::hint::black_box(table);
     let filled = cisa_obs::snapshot();
-    println!("block fill: {:.1} ms", fill_s * 1e3);
+    println!("table fill: {:.1} ms", fill_s * 1e3);
 
     let mut record = Record::new();
     record
         .int("phases", phases.len() as u64)
         .int("feature_sets", fs.len() as u64)
         .num("fused_sweep_s", sweep_s)
-        .num("block_fill_s", fill_s)
+        .num("fill_s", fill_s)
         .int("probes_run", probes)
         .int("dedup_hits", dedup_hits);
     for (from, to, name) in [
         (&start, &swept, "sim/runs"),
         (&start, &swept, "sim/uops"),
         (&start, &swept, "sim/cycles"),
-        (&swept, &filled, "table/block_evals"),
+        (&swept, &filled, "table/evals"),
     ] {
         record.int(name, to.counter(name) - from.counter(name));
     }

@@ -114,20 +114,20 @@ fn main() {
         runner.threads(),
         report.summary()
     );
-    // Table-fill stage breakdown: the batched block evaluator emits
-    // one `table/fill_block` span per (cell, profile) sweep, nested
-    // under the sweep items; sum across nestings.
+    // Table-fill stage breakdown: the fill emits one `table/fill` span
+    // per (phase, feature set) cell, nested under the sweep items; sum
+    // across nestings.
     let (fill_calls, fill_ns) = snap
         .spans()
-        .filter(|(path, _)| path.ends_with("table/fill_block"))
+        .filter(|(path, _)| path.ends_with("table/fill"))
         .fold((0u64, 0u64), |(c, ns), (_, s)| {
             (c + s.count, ns + s.total_ns)
         });
     if fill_calls > 0 {
         println!(
-            "table fill: {} block sweeps over {} design evaluations in {:.3}s",
+            "table fill: {} cells over {} design evaluations in {:.3}s",
             fill_calls,
-            snap.counter("table/block_evals"),
+            snap.counter("table/evals"),
             fill_ns as f64 / 1e9
         );
     }

@@ -15,7 +15,8 @@
 //!
 //! The grid runs on the shared `cisa_explore::par_map` pool, so
 //! `CISA_THREADS` bounds the worker count; the output is identical at
-//! any thread count. EXPERIMENTS.md records the runtime.
+//! any thread count; the wall time goes to stderr. EXPERIMENTS.md
+//! records the runtime.
 
 use std::time::Instant;
 
@@ -38,13 +39,19 @@ fn main() {
     let total = |field: fn(&CellCheck) -> usize| checks.iter().map(field).sum::<usize>();
     let refined = total(|c| c.refined);
 
+    // Wall time goes to stderr, so stdout is the same at any thread
+    // count and on any machine.
+    eprintln!(
+        "[verify_all] grid checked in {:.1?} on {} thread(s)",
+        start.elapsed(),
+        threads()
+    );
     println!(
-        "verified {} phases x {} feature sets ({} compiles, {} migration pairs) in {:.1?}",
+        "verified {} phases x {} feature sets ({} compiles, {} migration pairs)",
         phases.len(),
         feature_sets.len(),
         total(|c| usize::from(c.compiled)),
-        total(|c| c.pairs),
-        start.elapsed()
+        total(|c| c.pairs)
     );
     println!(
         "  migration points: {} | refined pairs: {} ({} to native, {} off the width cliff) | advisories: {}",

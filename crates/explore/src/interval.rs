@@ -15,14 +15,14 @@
 //! `crates/bench` checks its rank correlation against the cycle
 //! simulator.
 
-use cisa_power::{energy, energy_scaled, EnergyReport, EnergyScales};
+use cisa_power::{energy, EnergyReport};
 use cisa_sim::{
     Activity, CoreConfig, ExecSemantics, MemLatency, SimResult, REDIRECT_DECODE_EXTRA,
     REDIRECT_REFILL,
 };
 
 use crate::profile::{pred_idx, PhaseProfile};
-use crate::space::{MicroArch, UaSoa};
+use crate::space::MicroArch;
 
 /// L2-hit latency charged per L1D miss that hits in L2, derived from
 /// the simulator's [`MemLatency::DEFAULT`] so model and simulator
@@ -258,245 +258,6 @@ fn kilo_unit_energy(
         stalls: Default::default(),
     };
     energy(cfg, &result)
-}
-
-/// Per-profile scalars hoisted out of the design-point loop: everything
-/// in [`evaluate`] that does not depend on the microarchitecture,
-/// including the small per-predictor and per-cache-geometry gather
-/// tables. Each field is computed with exactly the scalar model's
-/// expression, so the batched path stays bit-identical.
-struct BlockConsts {
-    /// `decode_width * uops_per_macro` — the decoder supply ceiling.
-    decode_supply: f64,
-    /// Micro-op cache hit rate.
-    hit_rate: f64,
-    /// `1 - hit_rate`.
-    miss_rate: f64,
-    /// Memory-port limit `(mix[0] + mix[1]) / 2` (ua-independent).
-    mem_port_limit: f64,
-    /// Integer/branch uop fraction `mix[2] + mix[6] + mix[7]`.
-    int_uops: f64,
-    /// Multiplier occupancy numerator `mix[3] * 2`.
-    mul_uops: f64,
-    /// FP/vector uop fraction `mix[4] + mix[5]`.
-    fp_uops: f64,
-    /// Fitted ILP, miss-overlap coefficient, in-order stall scale.
-    ilp: f64,
-    mem_overlap: f64,
-    io_stall_scale: f64,
-    /// Mispredicts per uop by predictor index.
-    mispredict: [f64; 3],
-    /// Raw memory stall per uop by geometry index `g = i1 * 2 + i2`.
-    mem_raw: [f64; 4],
-    /// `mem_raw * 0.85` — the in-order variant, pre-multiplied.
-    mem_raw_io: [f64; 4],
-    /// Instruction-fetch stall per uop by L1 index.
-    inst_stall: [f64; 2],
-}
-
-impl BlockConsts {
-    fn new(p: &PhaseProfile) -> Self {
-        let decode_width = 4.0;
-        let uops_per_macro = 1.0 / p.macro_per_uop.max(1e-6);
-        let mut mem_raw = [0.0f64; 4];
-        let mut mem_raw_io = [0.0f64; 4];
-        for i1 in 0..2 {
-            for i2 in 0..2 {
-                let l1d_miss = p.l1d_miss_per_uop[i1];
-                let l2_miss = p.l2_miss_per_uop[i1][i2];
-                let l2_hit = (l1d_miss - l2_miss).max(0.0);
-                let raw = l2_hit * LAT_L2 + l2_miss * LAT_MEM;
-                mem_raw[i1 * 2 + i2] = raw;
-                mem_raw_io[i1 * 2 + i2] = raw * 0.85;
-            }
-        }
-        BlockConsts {
-            decode_supply: decode_width * uops_per_macro,
-            hit_rate: p.uopc_hit_rate,
-            miss_rate: 1.0 - p.uopc_hit_rate,
-            mem_port_limit: (p.mix[0] + p.mix[1]) / 2.0,
-            int_uops: p.mix[2] + p.mix[6] + p.mix[7],
-            mul_uops: p.mix[3] * 2.0,
-            fp_uops: p.mix[4] + p.mix[5],
-            ilp: p.ilp,
-            mem_overlap: p.mem_overlap,
-            io_stall_scale: p.io_stall_scale,
-            mispredict: p.mispredict_per_uop,
-            mem_raw,
-            mem_raw_io,
-            inst_stall: [
-                p.l1i_miss_per_uop[0] * LAT_L2 * 0.6,
-                p.l1i_miss_per_uop[1] * LAT_L2 * 0.6,
-            ],
-        }
-    }
-}
-
-/// Lanes processed per inner-loop block: all per-lane scratch fits in a
-/// handful of cache lines and the loops over it have a compile-time
-/// trip count on the `chunks_exact` fast path.
-const BLOCK: usize = 64;
-
-/// Batched form of [`evaluate`]: one pass over the design-point-major
-/// [`UaSoa`] columns evaluates every microarchitecture under one
-/// feature set for one phase profile.
-///
-/// Per-profile scalars (decoder supply, FU numerators, the 3-entry
-/// mispredict and 4-entry cache-geometry stall tables, the synthesized
-/// [`Activity`] template) are hoisted out of the loop; the inner loops
-/// run in 64-lane chunks doing only column loads, small-table
-/// gathers, and branchless `max` selects, with the per-design energy
-/// computed by [`energy_scaled`] from the SoA's precomputed scale
-/// columns and the caller's cached peak-power column.
-///
-/// Bit-identity with the scalar path — `out[i] == evaluate(p,
-/// &microarchs[i], &microarchs[i].with_fs(fs))` for every lane — is
-/// enforced by the `interval_block` test suite.
-///
-/// # Panics
-///
-/// Panics if `peak_w` or `out` disagree with the SoA length.
-pub fn evaluate_block(
-    p: &PhaseProfile,
-    fs: cisa_isa::FeatureSet,
-    soa: &UaSoa,
-    peak_w: &[f64],
-    out: &mut [PhasePerf],
-) {
-    let n = soa.len();
-    assert_eq!(peak_w.len(), n, "peak-power column length mismatch");
-    assert_eq!(out.len(), n, "output slice length mismatch");
-    let _span = cisa_obs::span("table/fill_block");
-    cisa_obs::counter("table/block_evals", n as u64);
-    cisa_obs::hist("table/block_designs", n as u64);
-
-    let c = BlockConsts::new(p);
-    let width_scale = fs.width().bits() as f64 / 64.0;
-
-    // The Activity template: every counter the scalar path synthesizes
-    // that is ua-independent, computed once, plus small gather tables
-    // for the five that vary (by predictor or cache geometry).
-    let scale = 1000.0 * p.uops_per_unit;
-    let nr = |x: f64| (x * scale).round().max(0.0) as u64;
-    let macro_ops = p.macro_per_uop;
-    let tmpl = Activity {
-        uops: nr(1.0),
-        macro_ops: nr(macro_ops),
-        uopc_hits: nr(macro_ops * p.uopc_hit_rate),
-        uopc_misses: nr(macro_ops * (1.0 - p.uopc_hit_rate)),
-        ild_bytes: nr(macro_ops * (1.0 - p.uopc_hit_rate) * p.avg_macro_len),
-        decodes: nr(macro_ops * (1.0 - p.uopc_hit_rate)),
-        bp_lookups: nr(p.mix[6]),
-        bp_mispredicts: 0,
-        int_ops: nr(p.mix[2] + p.mix[6] + p.mix[7]),
-        mul_ops: nr(p.mix[3]),
-        fp_ops: nr(p.mix[4]),
-        vec_ops: nr(p.mix[5]),
-        loads: nr(p.mix[0]),
-        stores: nr(p.mix[1]),
-        forwards: nr(p.fwd_per_uop),
-        l1d_accesses: nr(p.mix[0] + p.mix[1]),
-        l1d_misses: 0,
-        l2_accesses: 0,
-        l2_misses: 0,
-        l1i_misses: 0,
-        regfile_reads: nr(1.6),
-        regfile_writes: nr(0.7),
-        fused_pairs: 0,
-    };
-    let n_bp_mis = [
-        nr(p.mispredict_per_uop[0]),
-        nr(p.mispredict_per_uop[1]),
-        nr(p.mispredict_per_uop[2]),
-    ];
-    let n_l1d_mis = [nr(p.l1d_miss_per_uop[0]), nr(p.l1d_miss_per_uop[1])];
-    let n_l2_mis = [
-        nr(p.l2_miss_per_uop[0][0]),
-        nr(p.l2_miss_per_uop[0][1]),
-        nr(p.l2_miss_per_uop[1][0]),
-        nr(p.l2_miss_per_uop[1][1]),
-    ];
-    let n_l1i_mis = [nr(p.l1i_miss_per_uop[0]), nr(p.l1i_miss_per_uop[1])];
-
-    let mut start = 0usize;
-    while start < n {
-        let len = BLOCK.min(n - start);
-        let mut cpuu = [0.0f64; BLOCK];
-
-        // Pass A: cycles per uop for the whole block — pure column
-        // arithmetic, written exactly as the scalar model orders it.
-        for (l, slot) in cpuu.iter_mut().enumerate().take(len) {
-            let i = start + l;
-            let width = soa.width[i];
-            let supply = c.hit_rate * width + c.miss_rate * width.min(c.decode_supply);
-            let cpu_front = 1.0 / supply.max(0.1);
-
-            let cpu_fu = 0.0f64
-                .max(c.mem_port_limit)
-                .max(c.int_uops / soa.int_alu[i])
-                .max(c.mul_uops / soa.mul_units[i])
-                .max(c.fp_uops / soa.fp_alu[i]);
-
-            let ooo = soa.is_ooo[i];
-            let cpu_ilp = if ooo {
-                1.0 / (c.ilp * soa.window_scale[i]).max(0.2)
-            } else {
-                0.0
-            };
-            let dispatch = soa.inv_width[i];
-            let base = cpu_front.max(cpu_fu).max(cpu_ilp).max(dispatch);
-
-            let depth_penalty = if ooo {
-                REDIRECT + soa.rob[i] / 24.0
-            } else {
-                REDIRECT
-            };
-            let branch_stall = c.mispredict[soa.pred[i] as usize] * depth_penalty;
-
-            let g = soa.geo[i] as usize;
-            let i1 = g >> 1;
-            *slot = if ooo {
-                let overlap = (c.mem_overlap / soa.overlap_denom[i]).clamp(0.0, 1.0);
-                base + branch_stall + c.mem_raw[g] * overlap + c.inst_stall[i1]
-            } else {
-                base + c.io_stall_scale * (branch_stall + c.mem_raw_io[g] + c.inst_stall[i1])
-            };
-        }
-
-        // Pass B: assemble the per-lane activity from the template and
-        // run the shared energy arithmetic.
-        for (l, &cpu_per_uop) in cpuu.iter().enumerate().take(len) {
-            let i = start + l;
-            let g = soa.geo[i] as usize;
-            let i1 = g >> 1;
-            let mut activity = tmpl.clone();
-            activity.bp_mispredicts = n_bp_mis[soa.pred[i] as usize];
-            activity.l1d_misses = n_l1d_mis[i1];
-            activity.l2_accesses = n_l1d_mis[i1];
-            activity.l2_misses = n_l2_mis[g];
-            activity.l1i_misses = n_l1i_mis[i1];
-
-            let cycles_per_unit = cpu_per_uop * p.uops_per_unit;
-            let result = SimResult {
-                cycles: (cycles_per_unit * 1000.0).round().max(1.0) as u64,
-                activity,
-                stalls: Default::default(),
-            };
-            let scales = EnergyScales {
-                rf: soa.rf_scale[i],
-                sched: soa.sched_scale[i],
-                l1: soa.l1_scale[i],
-                l2: soa.l2_scale[i],
-                width: width_scale,
-            };
-            let report = energy_scaled(peak_w[i], &scales, &result);
-            out[i] = PhasePerf {
-                cycles_per_unit,
-                energy_per_unit: report.total_j / 1000.0,
-            };
-        }
-        start += len;
-    }
 }
 
 #[cfg(test)]

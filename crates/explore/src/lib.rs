@@ -44,7 +44,7 @@ pub mod table;
 
 pub use cache::{CrashPoint, ProfileCache, RecoveryReport};
 pub use faults::{FaultDomain, FaultPlan, InjectedFault};
-pub use interval::{evaluate, evaluate_block, unit_energy, PhasePerf};
+pub use interval::{evaluate, unit_energy, PhasePerf};
 pub use multicore::{
     reference_design, search, Budget, CoreChoice, Evaluator, Objective, SearchResult,
 };
@@ -54,7 +54,7 @@ pub use profile::{
 pub use runner::{
     par_map, par_map_isolated, threads, ItemError, ProbeDedup, SweepReport, SweepRunner,
 };
-pub use space::{all_microarchs, DesignId, DesignSpace, MicroArch, UaSoa};
+pub use space::{all_microarchs, DesignId, DesignSpace, MicroArch};
 pub use store::{ShardedLru, ShardedProfileStore, StoreStats};
 pub use systems::{
     candidates, constrained_candidates, search_system, sensitivity_constraints, SystemKind,

@@ -138,107 +138,6 @@ pub(crate) fn l2_geo_idx(l2_kb: u32) -> usize {
     usize::from(l2_kb >= 2048)
 }
 
-/// Design-point-major structure-of-arrays view of the microarchitecture
-/// axis, built once per [`DesignSpace`].
-///
-/// Every field is a parallel column of length `n_ua` in
-/// [`all_microarchs`] order, so the batched evaluator
-/// ([`evaluate_block`](crate::interval::evaluate_block)) streams over
-/// contiguous `f64` lanes instead of re-deriving widths, geometry
-/// indices, and window scales from [`MicroArch`] structs in its inner
-/// loop. Derived columns (`inv_width`, `window_scale`, `overlap_denom`,
-/// the energy scales) are computed with exactly the scalar model's
-/// expressions, so reusing them is bit-identical by construction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UaSoa {
-    /// Fetch/issue width.
-    pub width: Vec<f64>,
-    /// `1.0 / width` — the dispatch throughput limit.
-    pub inv_width: Vec<f64>,
-    /// Integer ALU count.
-    pub int_alu: Vec<f64>,
-    /// Multiplier pipes: `max(int_alu / 3, 1)`.
-    pub mul_units: Vec<f64>,
-    /// FP/SIMD ALU count.
-    pub fp_alu: Vec<f64>,
-    /// Reorder-buffer entries.
-    pub rob: Vec<f64>,
-    /// `(rob / 64)^0.12` — the out-of-order window ILP scale.
-    pub window_scale: Vec<f64>,
-    /// `1 + rob / 600` — denominator of the miss-overlap term.
-    pub overlap_denom: Vec<f64>,
-    /// `true` for out-of-order designs (the column is sorted: all 60
-    /// in-order designs precede the 120 out-of-order ones, so the
-    /// semantics branch in the block evaluator is perfectly predicted).
-    pub is_ooo: Vec<bool>,
-    /// Branch-predictor index into the per-predictor mispredict column
-    /// (see `profile::pred_idx`).
-    pub pred: Vec<u8>,
-    /// Combined cache-geometry index `l1_geo_idx * 2 + l2_geo_idx`, in
-    /// `0..4`; the L1 index alone is `geo >> 1`.
-    pub geo: Vec<u8>,
-    /// Register-file energy scale: `(prf_int + prf_fp) / 160`.
-    pub rf_scale: Vec<f64>,
-    /// Scheduler energy scale: `(iq + rob) / 96`.
-    pub sched_scale: Vec<f64>,
-    /// L1 energy scale: `sqrt(l1_kb / 32)`.
-    pub l1_scale: Vec<f64>,
-    /// L2 energy scale: `sqrt(l2_kb / 1024)`.
-    pub l2_scale: Vec<f64>,
-}
-
-impl UaSoa {
-    /// Transposes a microarchitecture list into parallel columns.
-    pub(crate) fn build(uas: &[MicroArch]) -> Self {
-        let n = uas.len();
-        let mut soa = UaSoa {
-            width: Vec::with_capacity(n),
-            inv_width: Vec::with_capacity(n),
-            int_alu: Vec::with_capacity(n),
-            mul_units: Vec::with_capacity(n),
-            fp_alu: Vec::with_capacity(n),
-            rob: Vec::with_capacity(n),
-            window_scale: Vec::with_capacity(n),
-            overlap_denom: Vec::with_capacity(n),
-            is_ooo: Vec::with_capacity(n),
-            pred: Vec::with_capacity(n),
-            geo: Vec::with_capacity(n),
-            rf_scale: Vec::with_capacity(n),
-            sched_scale: Vec::with_capacity(n),
-            l1_scale: Vec::with_capacity(n),
-            l2_scale: Vec::with_capacity(n),
-        };
-        for ua in uas {
-            let width = ua.width as f64;
-            let rob = ua.window.rob as f64;
-            soa.width.push(width);
-            soa.inv_width.push(1.0 / width);
-            soa.int_alu.push(ua.int_alu as f64);
-            soa.mul_units.push((ua.int_alu / 3).max(1) as f64);
-            soa.fp_alu.push(ua.fp_alu as f64);
-            soa.rob.push(rob);
-            soa.window_scale.push((rob / 64.0).powf(0.12));
-            soa.overlap_denom.push(1.0 + rob / 600.0);
-            soa.is_ooo.push(ua.sem == ExecSemantics::OutOfOrder);
-            soa.pred.push(crate::profile::pred_idx(ua.predictor) as u8);
-            soa.geo
-                .push((l1_geo_idx(ua.l1_kb) * 2 + l2_geo_idx(ua.l2_kb)) as u8);
-            soa.rf_scale
-                .push((ua.window.prf_int + ua.window.prf_fp) as f64 / 160.0);
-            soa.sched_scale
-                .push((ua.window.iq + ua.window.rob) as f64 / 96.0);
-            soa.l1_scale.push((ua.l1_kb as f64 / 32.0).sqrt());
-            soa.l2_scale.push((ua.l2_kb as f64 / 1024.0).sqrt());
-        }
-        soa
-    }
-
-    /// Number of design points in the columns.
-    pub(crate) fn len(&self) -> usize {
-        self.width.len()
-    }
-}
-
 /// A design-point identifier: indexes into the 26x180 cross product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DesignId {
@@ -265,13 +164,6 @@ pub struct DesignSpace {
     /// Per-design-point core budgets (area mm^2, peak power W), indexed
     /// by [`DesignId::flat`].
     pub budgets: Vec<(f64, f64)>,
-    /// Peak power (W) per design point, indexed by [`DesignId::flat`] —
-    /// the `.1` of [`budgets`](Self::budgets) split into its own column
-    /// so the block evaluator can stream it contiguously per feature
-    /// set (see [`Self::peaks`]).
-    pub peak_w: Vec<f64>,
-    /// Design-point-major SoA view of the microarchitecture axis.
-    pub soa: UaSoa,
 }
 
 impl DesignSpace {
@@ -286,23 +178,11 @@ impl DesignSpace {
                 budgets.push((b.area_mm2, b.peak_power_w));
             }
         }
-        let peak_w = budgets.iter().map(|b| b.1).collect();
-        let soa = UaSoa::build(&microarchs);
         DesignSpace {
             feature_sets,
             microarchs,
             budgets,
-            peak_w,
-            soa,
         }
-    }
-
-    /// The peak-power column for one feature-set index: `peak_power_w`
-    /// of every microarchitecture under `feature_sets[fs_idx]`, in
-    /// [`all_microarchs`] order.
-    pub fn peaks(&self, fs_idx: usize) -> &[f64] {
-        let n = self.microarchs.len();
-        &self.peak_w[fs_idx * n..(fs_idx + 1) * n]
     }
 
     /// Number of design points.

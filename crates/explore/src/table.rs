@@ -23,7 +23,7 @@
 use cisa_isa::VendorIsa;
 use cisa_workloads::PhaseSpec;
 
-use crate::interval::{evaluate, evaluate_block, PhasePerf};
+use crate::interval::{evaluate, PhasePerf};
 use crate::profile::PhaseProfile;
 use crate::runner::{par_map_isolated, SweepReport, SweepRunner};
 use crate::space::{DesignId, DesignSpace};
@@ -36,55 +36,30 @@ struct Cell {
     vendor: Option<(usize, Vec<PhasePerf>)>,
 }
 
-/// Fills one cell with the batched block evaluator: one
-/// [`evaluate_block`] sweep over the design-point-major SoA for the
-/// composite entries, and one more for the vendor-adjusted profile
-/// when applicable (the vendor row shares the cell's feature set, so
-/// the same peak-power column applies).
+/// Fills one cell: one [`evaluate`] call per design point for the
+/// composite entries, and one more per design point for the
+/// vendor-adjusted profile when the cell's feature set is a vendor
+/// ISA's x86-ized equivalent.
 fn evaluate_cell(space: &DesignSpace, fi: usize, prof: &PhaseProfile) -> Cell {
+    let _span = cisa_obs::span("table/fill");
     let fs = space.feature_sets[fi];
-    let n_ua = space.microarchs.len();
-    let peaks = space.peaks(fi);
-    let mut perfs = vec![PhasePerf::default(); n_ua];
-    evaluate_block(prof, fs, &space.soa, peaks, &mut perfs);
+    let row = |p: &PhaseProfile| -> Vec<PhasePerf> {
+        cisa_obs::counter("table/evals", space.microarchs.len() as u64);
+        space
+            .microarchs
+            .iter()
+            .map(|ua| evaluate(p, ua, &ua.with_fs(fs)))
+            .collect()
+    };
     let vendor = VendorIsa::ALL
         .iter()
         .enumerate()
         .find(|(_, v)| v.x86ized() == fs)
-        .map(|(vi, v)| {
-            let vprof = vendor_adjust(prof, *v);
-            let mut vperfs = vec![PhasePerf::default(); n_ua];
-            evaluate_block(&vprof, fs, &space.soa, peaks, &mut vperfs);
-            (vi, vperfs)
-        });
-    Cell { perfs, vendor }
-}
-
-/// Scalar-oracle twin of [`evaluate_cell`]: one [`evaluate`] call per
-/// design point, exactly as table builds ran before the batched path
-/// existed. Retained as the executable bit-identity reference for the
-/// `interval_block` suite.
-fn evaluate_cell_reference(space: &DesignSpace, fi: usize, prof: &PhaseProfile) -> Cell {
-    let fs = space.feature_sets[fi];
-    let perfs: Vec<PhasePerf> = space
-        .microarchs
-        .iter()
-        .map(|ua| evaluate(prof, ua, &ua.with_fs(fs)))
-        .collect();
-    let vendor = VendorIsa::ALL
-        .iter()
-        .enumerate()
-        .find(|(_, v)| v.x86ized() == fs)
-        .map(|(vi, v)| {
-            let vprof = vendor_adjust(prof, *v);
-            let vperfs = space
-                .microarchs
-                .iter()
-                .map(|ua| evaluate(&vprof, ua, &ua.with_fs(fs)))
-                .collect();
-            (vi, vperfs)
-        });
-    Cell { perfs, vendor }
+        .map(|(vi, v)| (vi, row(&vendor_adjust(prof, *v))));
+    Cell {
+        perfs: row(prof),
+        vendor,
+    }
 }
 
 /// The evaluated design-space table.
@@ -149,11 +124,10 @@ impl PerfTable {
     }
 
     /// Builds the table from an already-probed profile grid — row-major
-    /// `[phase][fs]`, as [`SweepRunner::profile_grid`] returns — with
-    /// the batched block evaluator. This is the pure model-evaluation
-    /// half of a build (no probing, no I/O): `bench_probe` times it
-    /// warm, and the `interval_block` suite compares it entry-for-entry
-    /// against [`PerfTable::from_profile_grid_reference`].
+    /// `[phase][fs]`, as [`SweepRunner::profile_grid`] returns. This is
+    /// the pure model-evaluation half of a build (no probing, no I/O):
+    /// `bench_probe` times it warm, and the online-refinement tier of
+    /// `cisa-serve` fills one-phase tables with it.
     ///
     /// # Panics
     ///
@@ -162,30 +136,6 @@ impl PerfTable {
         space: &DesignSpace,
         phases: &[PhaseSpec],
         grid: &[PhaseProfile],
-    ) -> Self {
-        Self::from_grid_impl(space, phases, grid, evaluate_cell)
-    }
-
-    /// Scalar-oracle twin of [`PerfTable::from_profile_grid`]: fills
-    /// every entry with one [`evaluate`] call per design point. Kept as
-    /// the executable bit-identity reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grid.len() != phases.len() * space.feature_sets.len()`.
-    pub fn from_profile_grid_reference(
-        space: &DesignSpace,
-        phases: &[PhaseSpec],
-        grid: &[PhaseProfile],
-    ) -> Self {
-        Self::from_grid_impl(space, phases, grid, evaluate_cell_reference)
-    }
-
-    fn from_grid_impl(
-        space: &DesignSpace,
-        phases: &[PhaseSpec],
-        grid: &[PhaseProfile],
-        fill: fn(&DesignSpace, usize, &PhaseProfile) -> Cell,
     ) -> Self {
         let n_fs = space.feature_sets.len();
         assert_eq!(
@@ -196,7 +146,7 @@ impl PerfTable {
         let cells = grid
             .iter()
             .enumerate()
-            .map(|(i, prof)| Some(fill(space, i % n_fs, prof)));
+            .map(|(i, prof)| Some(evaluate_cell(space, i % n_fs, prof)));
         Self::from_cells(space, phases, cells)
     }
 

@@ -1,53 +1,11 @@
-//! Bit-identity and property tests for the batched block evaluator.
-//!
-//! The contract under test: `evaluate_block` produces **bit-for-bit**
-//! the same `PhasePerf` as one scalar `evaluate` call per design point,
-//! for every (phase, feature-set, design) triple — including the three
-//! vendor-ISA derived rows — at any `CISA_THREADS` (the probe grid runs
-//! on the default runner, whose output is thread-count-invariant; the
-//! fills themselves are deterministic serial loops).
-//!
-//! Debug builds (tier-1 `cargo test -q`) keep the grid to two
-//! benchmarks x all 26 feature sets, which still exercises every
-//! vendor ISA and every block-evaluator path; release runs (CI) sweep
-//! the full 49-phase grid and pin the 229,320-entry count.
+//! The interval model's pinned stall constants, and a seeded property
+//! test of `evaluate` on random profiles over the whole design space.
+//! The bits of every table entry the model fills are pinned by
+//! `probe_fused.rs`'s table digest.
 
 use cisa_explore::interval::{LAT_L2, LAT_MEM, REDIRECT};
-use cisa_explore::profile::probe;
-use cisa_explore::table::vendor_adjust;
-use cisa_explore::{evaluate, evaluate_block, DesignSpace, PerfTable, PhasePerf, SweepRunner};
-use cisa_isa::VendorIsa;
-use cisa_workloads::{all_phases, PhaseSpec};
+use cisa_explore::{evaluate, DesignSpace, PhasePerf};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-
-fn test_phases() -> Vec<PhaseSpec> {
-    if cfg!(debug_assertions) {
-        all_phases()
-            .into_iter()
-            .filter(|p| (p.benchmark == "lbm" || p.benchmark == "sjeng") && p.index == 0)
-            .collect()
-    } else {
-        all_phases()
-    }
-}
-
-#[track_caller]
-fn assert_bits_eq(a: PhasePerf, b: PhasePerf, ctx: &str) {
-    assert_eq!(
-        a.cycles_per_unit.to_bits(),
-        b.cycles_per_unit.to_bits(),
-        "cycles_per_unit differs at {ctx}: {} vs {}",
-        a.cycles_per_unit,
-        b.cycles_per_unit
-    );
-    assert_eq!(
-        a.energy_per_unit.to_bits(),
-        b.energy_per_unit.to_bits(),
-        "energy_per_unit differs at {ctx}: {} vs {}",
-        a.energy_per_unit,
-        b.energy_per_unit
-    );
-}
 
 /// Satellite 1: the model's stall constants are *derived from* the
 /// simulator's exports, and their concrete values are pinned so a
@@ -66,76 +24,6 @@ fn stall_constants_single_sourced() {
     assert_eq!(LAT_L2, 14.0);
     assert_eq!(LAT_MEM, 140.0);
     assert_eq!(REDIRECT, 16.0);
-}
-
-/// The headline acceptance test: a batched table fill is entry-for-
-/// entry bit-identical to the retained scalar fill over the whole
-/// grid, composite and vendor rows alike.
-#[test]
-fn block_fill_is_bit_identical_to_scalar_fill() {
-    let space = DesignSpace::new();
-    let phases = test_phases();
-    let runner = SweepRunner::default(); // honors CISA_THREADS
-    let grid = runner.profile_grid(&phases, &space.feature_sets);
-
-    let batched = PerfTable::from_profile_grid(&space, &phases, &grid);
-    let reference = PerfTable::from_profile_grid_reference(&space, &phases, &grid);
-
-    let mut composite = 0usize;
-    for pi in 0..phases.len() {
-        for id in space.ids() {
-            assert_bits_eq(
-                batched.get(pi, id),
-                reference.get(pi, id),
-                &format!("phase {pi} {id:?}"),
-            );
-            composite += 1;
-        }
-    }
-    let mut vendor = 0usize;
-    for pi in 0..phases.len() {
-        for v in VendorIsa::ALL {
-            for ua in 0..space.microarchs.len() {
-                let b = batched.vendor(pi, v, ua);
-                assert_bits_eq(
-                    b,
-                    reference.vendor(pi, v, ua),
-                    &format!("phase {pi} vendor {v:?} ua {ua}"),
-                );
-                assert!(
-                    b.cycles_per_unit > 0.0 && b.energy_per_unit > 0.0,
-                    "vendor row unpopulated: phase {pi} {v:?} ua {ua}"
-                );
-                vendor += 1;
-            }
-        }
-    }
-    if !cfg!(debug_assertions) {
-        assert_eq!(composite, 49 * 26 * 180, "the full 229,320 entries");
-        assert_eq!(vendor, 49 * 3 * 180, "all vendor-derived entries");
-    }
-}
-
-/// Direct per-lane comparison against scalar `evaluate` (more precise
-/// failure localization than the table-level test), on both a raw and
-/// a vendor-adjusted profile.
-#[test]
-fn evaluate_block_matches_per_design_scalar_calls() {
-    let space = DesignSpace::new();
-    let spec = &all_phases()[0];
-    let n_ua = space.microarchs.len();
-    for fi in [0usize, space.feature_sets.len() - 1] {
-        let fs = space.feature_sets[fi];
-        let prof = probe(spec, fs);
-        for p in [prof, vendor_adjust(&prof, VendorIsa::Thumb)] {
-            let mut out = vec![PhasePerf::default(); n_ua];
-            evaluate_block(&p, fs, &space.soa, space.peaks(fi), &mut out);
-            for (i, ua) in space.microarchs.iter().enumerate() {
-                let scalar = evaluate(&p, ua, &ua.with_fs(fs));
-                assert_bits_eq(out[i], scalar, &format!("fs {fs} ua {i}"));
-            }
-        }
-    }
 }
 
 /// Builds a random but physically plausible profile: rates in their
@@ -182,38 +70,38 @@ fn random_profile(rng: &mut SmallRng) -> cisa_explore::PhaseProfile {
     }
 }
 
-/// Seeded property test: on randomized profiles the block evaluator
-/// stays bit-identical to the scalar path, produces no NaN/inf/zero
-/// outputs, and preserves the capacity-monotonicity trends that
-/// `interval_properties.rs` pins for the scalar model.
+/// Seeded property test: on randomized profiles the model produces no
+/// NaN/inf/zero outputs on any of the 180 microarchitectures, and
+/// keeps the capacity-monotonicity trends that `interval_properties.rs`
+/// pins on real probes.
 #[test]
-fn randomized_profiles_bit_identical_nan_free_and_monotone() {
+fn randomized_profiles_nan_free_and_monotone() {
     let space = DesignSpace::new();
-    let n_ua = space.microarchs.len();
     let mut rng = SmallRng::seed_from_u64(0xC15A_B10C);
     let n_profiles = if cfg!(debug_assertions) { 16 } else { 64 };
     for trial in 0..n_profiles {
         let p = random_profile(&mut rng);
         let fi = rng.gen_range(0usize..space.feature_sets.len());
         let fs = space.feature_sets[fi];
-        let mut out = vec![PhasePerf::default(); n_ua];
-        evaluate_block(&p, fs, &space.soa, space.peaks(fi), &mut out);
-        for (i, ua) in space.microarchs.iter().enumerate() {
-            let scalar = evaluate(&p, ua, &ua.with_fs(fs));
-            assert_bits_eq(out[i], scalar, &format!("trial {trial} ua {i}"));
+        let out: Vec<PhasePerf> = space
+            .microarchs
+            .iter()
+            .map(|ua| evaluate(&p, ua, &ua.with_fs(fs)))
+            .collect();
+        for (i, perf) in out.iter().enumerate() {
             assert!(
-                out[i].cycles_per_unit.is_finite() && out[i].cycles_per_unit > 0.0,
+                perf.cycles_per_unit.is_finite() && perf.cycles_per_unit > 0.0,
                 "trial {trial} ua {i}: bad cycles {}",
-                out[i].cycles_per_unit
+                perf.cycles_per_unit
             );
             assert!(
-                out[i].energy_per_unit.is_finite() && out[i].energy_per_unit > 0.0,
+                perf.energy_per_unit.is_finite() && perf.energy_per_unit > 0.0,
                 "trial {trial} ua {i}: bad energy {}",
-                out[i].energy_per_unit
+                perf.energy_per_unit
             );
         }
-        // Monotone trends on the block output: growing L1 or L2 never
-        // slows a design (miss columns are monotone by construction).
+        // Monotone trends: growing L1 or L2 never slows a design (miss
+        // columns are monotone by construction).
         for (i, ua) in space.microarchs.iter().enumerate() {
             if ua.l1_kb == 32 {
                 let j = space

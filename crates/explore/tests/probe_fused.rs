@@ -1,16 +1,20 @@
 //! Acceptance tests for the fused single-pass probe: bit-identity
 //! against the multi-pass reference implementation (case by case, and
-//! for the whole grid through a pinned digest), the bounded
-//! store-forwarding table regression, and codegen-fingerprint dedup.
+//! for the whole grid through a pinned digest), a pinned digest of the
+//! table filled from that grid, the bounded store-forwarding table
+//! regression, and codegen-fingerprint dedup.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use cisa_compiler::{compile, CompileOptions};
 use cisa_explore::profile::{probe_compiled, probe_compiled_reference};
-use cisa_explore::{codegen_fingerprint, probes_run, DesignSpace, StoreForwardTable, SweepRunner};
+use cisa_explore::{
+    codegen_fingerprint, probes_run, DesignSpace, PerfTable, PhaseProfile, StoreForwardTable,
+    SweepRunner,
+};
 use cisa_isa::uop::MicroOpKind;
-use cisa_isa::FeatureSet;
+use cisa_isa::{FeatureSet, VendorIsa};
 use cisa_workloads::{all_phases, generate, PhaseSpec, TraceGenerator, TraceParams};
 
 /// The global probe counter is process-wide; tests that measure deltas
@@ -63,27 +67,75 @@ fn fused_probe_is_bit_identical_to_reference() {
 /// grid to the reference's bits.
 const GRID_DIGEST: u64 = 0x67ac_d7c8_5540_82a3;
 
+/// FNV-1a digest of [`full_table_matches_pinned_digest`]'s table. It
+/// was taken on code whose batched fill was asserted bit-identical,
+/// entry by entry, to one scalar `evaluate` call per design point, so
+/// a match pins every entry to the model's bits.
+const TABLE_DIGEST: u64 = 0x5f93_c40d_8935_a6be;
+
 /// The full 49-phase x 26-feature-set grid from
-/// [`SweepRunner::profile_grid`] (fused probe, codegen dedup), hashed
-/// with a hand-rolled 64-bit FNV-1a (stable across Rust versions) over
-/// every profile's `to_values()` bit patterns, row-major. Any change to
-/// any probe measurement of any pair moves the digest.
+/// [`SweepRunner::profile_grid`] (fused probe, codegen dedup), swept
+/// once per test binary. Callers hold [`PROBE_COUNTER`].
+fn full_grid() -> &'static [PhaseProfile] {
+    static GRID: OnceLock<Vec<PhaseProfile>> = OnceLock::new();
+    GRID.get_or_init(|| {
+        let space = DesignSpace::new();
+        SweepRunner::default().profile_grid(&all_phases(), &space.feature_sets)
+    })
+}
+
+/// A hand-rolled 64-bit FNV-1a (stable across Rust versions) over the
+/// little-endian bit patterns of `values`, in order.
+fn fnv1a_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for x in values {
+        for b in x.to_bits().to_le_bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    digest
+}
+
+/// The full grid, hashed over every profile's `to_values()` bit
+/// patterns, row-major. Any change to any probe measurement of any
+/// pair moves the digest.
 #[test]
 fn full_grid_matches_pinned_digest() {
     let _guard = PROBE_COUNTER.lock().unwrap();
+    let grid = full_grid();
+    assert_eq!(grid.len(), 1274);
+    let digest = fnv1a_bits(grid.iter().flat_map(|p| p.to_values()));
+    assert_eq!(digest, GRID_DIGEST, "grid digest {digest:#018x}");
+}
+
+/// The table [`PerfTable::from_profile_grid`] fills from the full
+/// grid, hashed over the cycle then energy bits of every composite
+/// entry (`[phase][fs][ua]`) and then every vendor entry
+/// (`[phase][vendor][ua]`). Any change to the interval or power model,
+/// `vendor_adjust` or the fill moves the digest.
+#[test]
+fn full_table_matches_pinned_digest() {
+    let _guard = PROBE_COUNTER.lock().unwrap();
     let phases = all_phases();
     let space = DesignSpace::new();
-    let grid = SweepRunner::default().profile_grid(&phases, &space.feature_sets);
-    assert_eq!(grid.len(), 1274);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for profile in &grid {
-        for x in profile.to_values() {
-            for b in x.to_bits().to_le_bytes() {
-                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+    let table = PerfTable::from_profile_grid(&space, &phases, full_grid());
+    let n_ua = space.microarchs.len();
+    let mut entries = Vec::new();
+    for pi in 0..phases.len() {
+        entries.extend(space.ids().map(|id| table.get(pi, id)));
+    }
+    for pi in 0..phases.len() {
+        for v in VendorIsa::ALL {
+            entries.extend((0..n_ua).map(|ua| table.vendor(pi, v, ua)));
         }
     }
-    assert_eq!(digest, GRID_DIGEST, "grid digest {digest:#018x}");
+    assert_eq!(entries.len(), 49 * (26 + 3) * 180);
+    let digest = fnv1a_bits(
+        entries
+            .iter()
+            .flat_map(|e| [e.cycles_per_unit, e.energy_per_unit]),
+    );
+    assert_eq!(digest, TABLE_DIGEST, "table digest {digest:#018x}");
 }
 
 /// Satellite regression: the bounded [`StoreForwardTable`] reproduces

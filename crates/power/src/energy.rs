@@ -65,66 +65,18 @@ pub struct EnergyReport {
     pub seconds: f64,
 }
 
-/// Structure-size scale factors relative to the reference core,
-/// precomputed once per design point.
-///
-/// [`energy()`] derives these from the [`CoreConfig`] on every call;
-/// batch evaluators (the blocked table fill in `cisa-explore`) compute
-/// them once per microarchitecture, pair them with a cached
-/// [`CoreBudget::peak_power_w`](crate::CoreBudget), and call
-/// [`energy_scaled`] per activity vector — skipping the expensive
-/// RTL-derived `core_budget` walk in the inner loop while staying
-/// bit-identical, because both paths funnel into the same arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyScales {
-    /// Register-file size scale: `(prf_int + prf_fp) / 160`.
-    pub rf: f64,
-    /// Scheduler size scale: `(iq + rob) / 96`.
-    pub sched: f64,
-    /// L1 data cache scale: `sqrt(l1_kb / 32)`.
-    pub l1: f64,
-    /// L2 slice scale: `sqrt(l2_kb / 1024)`.
-    pub l2: f64,
-    /// Register-width scale: `fs.width().bits() / 64`.
-    pub width: f64,
-}
-
-impl EnergyScales {
-    /// Derives the scale factors for one core configuration.
-    pub(crate) fn for_config(cfg: &CoreConfig) -> Self {
-        EnergyScales {
-            rf: (cfg.window.prf_int + cfg.window.prf_fp) as f64 / 160.0,
-            sched: (cfg.window.iq + cfg.window.rob) as f64 / 96.0,
-            l1: (cfg.l1_kb as f64 / 32.0).sqrt(),
-            l2: (cfg.l2_kb as f64 / 1024.0).sqrt(),
-            width: cfg.fs.width().bits() as f64 / 64.0,
-        }
-    }
-}
-
 /// Computes the energy of one simulated execution on one core.
 pub fn energy(cfg: &CoreConfig, result: &SimResult) -> EnergyReport {
     let budget: CoreBudget = core_budget(cfg);
-    energy_scaled(budget.peak_power_w, &EnergyScales::for_config(cfg), result)
-}
-
-/// Computes the energy of one simulated execution from precomputed
-/// scale factors and a cached peak-power figure.
-///
-/// This is the single arithmetic path behind [`energy()`]; callers who
-/// hoist `EnergyScales::for_config` and `core_budget` out of a loop
-/// get bit-identical totals by construction.
-pub fn energy_scaled(peak_power_w: f64, scales: &EnergyScales, result: &SimResult) -> EnergyReport {
     let a: &Activity = &result.activity;
     let nj = 1e-9;
 
-    let EnergyScales {
-        rf: rf_scale,
-        sched: sched_scale,
-        l1: l1_scale,
-        l2: l2_scale,
-        width: width_scale,
-    } = *scales;
+    // Structure-size scale factors relative to the reference core.
+    let rf_scale = (cfg.window.prf_int + cfg.window.prf_fp) as f64 / 160.0;
+    let sched_scale = (cfg.window.iq + cfg.window.rob) as f64 / 96.0;
+    let l1_scale = (cfg.l1_kb as f64 / 32.0).sqrt();
+    let l2_scale = (cfg.l2_kb as f64 / 1024.0).sqrt();
+    let width_scale = cfg.fs.width().bits() as f64 / 64.0;
 
     let fetch_j = (a.uopc_hits as f64 * ev::UOPC_HIT
         + a.ild_bytes as f64 * ev::ILD_BYTE
@@ -150,7 +102,7 @@ pub fn energy_scaled(peak_power_w: f64, scales: &EnergyScales, result: &SimResul
         * nj;
 
     let seconds = result.cycles as f64 / CLOCK_HZ;
-    let static_j = peak_power_w * IDLE_POWER_FRACTION * seconds;
+    let static_j = budget.peak_power_w * IDLE_POWER_FRACTION * seconds;
 
     let total_j = fetch_j + decode_j + bpred_j + scheduler_j + regfile_j + fu_j + mem_j + static_j;
     EnergyReport {

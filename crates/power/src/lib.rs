@@ -13,7 +13,5 @@
 pub mod energy;
 pub mod model;
 
-pub use energy::{
-    energy, energy_scaled, EnergyReport, EnergyScales, CLOCK_HZ, IDLE_POWER_FRACTION,
-};
+pub use energy::{energy, EnergyReport, CLOCK_HZ, IDLE_POWER_FRACTION};
 pub use model::{chip_budget, core_budget, ChipBudget, CoreBreakdown, CoreBudget, StructureCost};

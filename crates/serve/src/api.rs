@@ -411,7 +411,7 @@ fn affinity(state: &Arc<ServerState>, req: &Request) -> Reply {
             if max_area.is_some_and(|m| area > m) || max_power.is_some_and(|m| power > m) {
                 continue;
             }
-            let perf = row.perfs[fi * n_ua + ua];
+            let perf = row.perf(id);
             let delay_s = perf.cycles_per_unit / CLOCK_HZ;
             let score = match objective {
                 Objective::Edp => perf.energy_per_unit * delay_s,
@@ -460,7 +460,7 @@ fn affinity(state: &Arc<ServerState>, req: &Request) -> Reply {
     w.key("ranked").begin_arr();
     for (rank, &(fi, id, score)) in ranked.iter().enumerate() {
         let fs = state.space.feature_sets[fi];
-        let perf = row.perfs[fi * n_ua + id.ua as usize];
+        let perf = row.perf(id);
         let (area, power) = state.space.budget(id);
         let delay_s = perf.cycles_per_unit / CLOCK_HZ;
         let migration = classify_migration(from_fs, fs);

@@ -33,15 +33,17 @@
 //! # Answer tiers
 //!
 //! A `POST /v1/affinity` resolves through three tiers, cheapest first:
-//! pinned rows copied from the batch table at startup (bit-identical
-//! to the batch pipeline by construction), a sharded LRU of rows
+//! pinned rows reading one shared copy of the batch table taken at
+//! startup (bit-identical to the batch pipeline by construction), a
+//! sharded LRU of rows
 //! refined earlier, and finally online refinement — compile the spec
 //! for all feature sets on a bounded, panic-isolated pool, probe each
 //! distinct compilation once (the batch sweep's
 //! [`ProbeDedup`](cisa_explore::ProbeDedup)), persist every feature
 //! set's profile in a two-tier
 //! [`ShardedProfileStore`](cisa_explore::ShardedProfileStore), and
-//! evaluate the full row. The response's `source` field reports
+//! fill the full row as a one-phase
+//! [`PerfTable`](cisa_explore::PerfTable). The response's `source` field reports
 //! which tier answered.
 //!
 //! # Resilience

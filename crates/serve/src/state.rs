@@ -3,10 +3,11 @@
 //!
 //! A server answers from three tiers, cheapest first:
 //!
-//! 1. **Pinned rows** — affinity rows preloaded from a batch-built
-//!    [`PerfTable`] at startup. Never evicted; answers from this tier
-//!    are bit-identical to the batch pipeline by construction (the
-//!    entries are copied, not recomputed).
+//! 1. **Pinned rows** — one affinity row per phase of the batch-built
+//!    [`PerfTable`] at startup, all reading one shared copy of it.
+//!    Never evicted; answers from this tier are bit-identical to the
+//!    batch pipeline by construction (the entries are read, not
+//!    recomputed).
 //! 2. **The row LRU** — a [`ShardedLru`] of rows refined online for
 //!    fingerprints the batch table has never seen.
 //! 3. **Online refinement** — the fused probe path on a bounded pool
@@ -16,15 +17,17 @@
 //!    [`ProbeDedup`], the batch sweep's dedup. Every feature set's
 //!    profile persists through a [`ShardedProfileStore`], so a
 //!    re-asked fingerprint — even after row eviction or a server
-//!    restart — refines without compiling or probing.
+//!    restart — refines without compiling or probing. The refined row
+//!    is a one-phase [`PerfTable`] filled by the batch table's own
+//!    fill, so the server keeps no model code of its own.
 
 use std::collections::HashMap;
+use std::slice;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use cisa_explore::cache::fnv1a;
-use cisa_explore::interval::evaluate_block;
 use cisa_explore::runner::par_map_isolated;
 use cisa_explore::{
     DesignId, DesignSpace, FaultPlan, PerfTable, ProbeDedup, ShardedLru, ShardedProfileStore,
@@ -270,24 +273,32 @@ impl CircuitBreaker {
     }
 }
 
-/// One phase's slice of the affinity table: every (feature set,
-/// microarchitecture) performance/energy prediction, row-major
-/// `[fs][ua]` exactly like [`PerfTable`].
+/// One phase's slice of the affinity table: a view of one phase row of
+/// a [`PerfTable`], every (feature set, microarchitecture)
+/// performance/energy prediction.
 #[derive(Debug)]
 pub struct AffinityRow {
     /// Phase name (`benchmark.pN`).
     pub phase: String,
     /// The full generation fingerprint the row is keyed on.
     pub fingerprint: String,
-    /// `[fs][ua]` predictions, `n_fs * n_ua` entries.
-    pub perfs: Vec<PhasePerf>,
+    table: Arc<PerfTable>,
+    row: usize,
+}
+
+impl AffinityRow {
+    /// The prediction for one design point, bit-identical to the
+    /// viewed table's `get(row, id)`.
+    pub fn perf(&self, id: DesignId) -> PhasePerf {
+        self.table.get(self.row, id)
+    }
 }
 
 /// How an affinity answer was produced (reported in responses and
 /// asserted by tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowSource {
-    /// Copied from the batch-built table at startup.
+    /// Read from the batch-built table loaded at startup.
     Pinned,
     /// Refined online earlier and still resident in the row LRU.
     Cached,
@@ -397,7 +408,8 @@ pub struct ServerState {
 
 impl ServerState {
     /// Builds server state from a batch-built table: one pinned row per
-    /// phase, copied entry-for-entry (bit-identical to `table.get`).
+    /// phase, each a view of one shared copy of `table` (bit-identical
+    /// to `table.get`).
     ///
     /// `phases` must be the phase list the table was built for, in
     /// order.
@@ -409,28 +421,16 @@ impl ServerState {
         config: ServeConfig,
     ) -> Self {
         assert_eq!(table.n_phases, phases.len(), "table/phase list mismatch");
-        let n_ua = space.microarchs.len();
-        let n_fs = space.feature_sets.len();
+        let table = Arc::new(table.clone());
         let mut pinned = HashMap::new();
         let mut by_name = HashMap::new();
         for (pi, spec) in phases.iter().enumerate() {
-            let mut perfs = Vec::with_capacity(n_fs * n_ua);
-            for fi in 0..n_fs {
-                for ua in 0..n_ua {
-                    perfs.push(table.get(
-                        pi,
-                        DesignId {
-                            fs: fi as u16,
-                            ua: ua as u16,
-                        },
-                    ));
-                }
-            }
             let fingerprint = spec.fingerprint();
             let row = Arc::new(AffinityRow {
                 phase: spec.name(),
                 fingerprint: fingerprint.clone(),
-                perfs,
+                table: Arc::clone(&table),
+                row: pi,
             });
             pinned.insert(fnv1a(fingerprint.as_bytes()), row);
             by_name.insert(spec.name(), pi);
@@ -635,26 +635,19 @@ impl ServerState {
         if Instant::now() >= deadline {
             return Err(RowError::DeadlineExceeded);
         }
-        // Model evaluation rides the same batched block evaluator as
-        // the batch table fill, so refined rows stay bit-identical to
-        // table-built rows (asserted by `tests/http_api.rs`,
+        // The batch table's own fill, so refined rows stay bit-identical
+        // to table-built rows (asserted by `tests/http_api.rs`,
         // `refined_row_is_bit_identical_to_batch_table`).
-        let n_ua = self.space.microarchs.len();
-        let mut perfs = vec![PhasePerf::default(); fss.len() * n_ua];
-        for (fi, fs) in fss.iter().enumerate() {
-            let prof = profiles[fi].as_ref().expect("clean report has all items");
-            evaluate_block(
-                prof,
-                *fs,
-                &self.space.soa,
-                self.space.peaks(fi),
-                &mut perfs[fi * n_ua..(fi + 1) * n_ua],
-            );
-        }
+        let profiles: Vec<_> = profiles
+            .into_iter()
+            .map(|p| p.expect("clean report has all items"))
+            .collect();
+        let table = PerfTable::from_profile_grid(&self.space, slice::from_ref(spec), &profiles);
         Ok(Arc::new(AffinityRow {
             phase: spec.name(),
             fingerprint: fingerprint.to_string(),
-            perfs,
+            table: Arc::new(table),
+            row: 0,
         }))
     }
 }
