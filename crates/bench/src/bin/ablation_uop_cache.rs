@@ -3,9 +3,10 @@
 //! macro-op through the ILD and decoders.
 
 use cisa_compiler::{compile, CompileOptions};
-use cisa_decode::{DecodeFrontend, DecoderConfig, MacroRecord};
+use cisa_decode::DecoderConfig;
 use cisa_isa::{Complexity, FeatureSet};
-use cisa_workloads::{all_phases, generate, TraceGenerator, TraceParams};
+use cisa_sim::SupplyTrace;
+use cisa_workloads::{all_phases, generate, TraceArena, TraceParams};
 
 fn main() {
     println!("Ablation: micro-op cache on/off (decode activity per 20k uops)");
@@ -20,30 +21,21 @@ fn main() {
             &CompileOptions::default(),
         )
         .unwrap();
-        let trace: Vec<_> = TraceGenerator::new(
+        let trace = TraceArena::build(
             &code,
             spec,
             TraceParams {
                 max_uops: 20_000,
                 seed: 5,
             },
-        )
-        .collect();
+        );
         for (label, windows) in [("on", 256u32), ("off", 0)] {
-            let mut fe = DecodeFrontend::new(DecoderConfig {
+            let decoder = DecoderConfig {
                 uop_cache_windows: windows,
                 ..DecoderConfig::for_complexity(Complexity::X86)
-            });
-            for u in trace.iter().filter(|u| u.first) {
-                fe.supply(&MacroRecord {
-                    pc: u.pc,
-                    len: u.len,
-                    uops: u.macro_uops,
-                    fusible_cmp: false,
-                    is_branch: false,
-                });
-            }
-            let s = fe.stats();
+            };
+            let supply = SupplyTrace::capture(decoder, &trace);
+            let s = supply.stats();
             println!(
                 "{:<12} {:>12} {:>12} {:>12} {:>13.1}%  (uop cache {label})",
                 spec.benchmark,

@@ -6,7 +6,7 @@
 use cisa_compiler::{compile, CompileOptions};
 use cisa_isa::FeatureSet;
 use cisa_workloads::simpoint::{build_bbvs, cluster};
-use cisa_workloads::{all_phases, generate, TraceGenerator, TraceParams};
+use cisa_workloads::{all_phases, generate, TraceArena, TraceParams};
 
 fn main() {
     // Build an execution that alternates between two phases of bzip2 by
@@ -30,7 +30,7 @@ fn main() {
             pcs.push((pc, offset + bi as u32));
             pc += b.code_bytes as u64;
         }
-        let trace = TraceGenerator::new(
+        let trace = TraceArena::build(
             &code,
             spec,
             TraceParams {
@@ -39,11 +39,11 @@ fn main() {
             },
         );
         let mut last = u32::MAX;
-        for u in trace.filter(|u| u.first) {
+        for i in (0..trace.len()).filter(|&i| trace.is_first(i)) {
             let block = pcs
                 .iter()
                 .rev()
-                .find(|(start, _)| u.pc >= *start)
+                .find(|(start, _)| trace.pcs()[i] >= *start)
                 .map(|(_, id)| *id)
                 .unwrap_or(offset);
             if block != last {

@@ -14,6 +14,7 @@
 //! order of its float operations moves the digest.
 
 use cisa_bench::migration::MigrationSim;
+use cisa_explore::cache::fnv1a;
 use cisa_explore::multicore::{Budget, Evaluator, Objective};
 use cisa_explore::{search_system, DesignSpace, PerfTable, SweepRunner, SystemKind};
 use cisa_workloads::all_phases;
@@ -21,13 +22,6 @@ use cisa_workloads::all_phases;
 /// Digest of [`schedules_match_pinned_digest`]'s searches and replay
 /// under the one search configuration the figures use.
 const SCHEDULE_DIGEST: u64 = 0x8027_a322_9bf9_94de;
-
-/// Hand-rolled 64-bit FNV-1a (stable across Rust versions).
-fn fnv(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest = (*digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
 
 #[test]
 fn schedules_match_pinned_digest() {
@@ -42,7 +36,8 @@ fn schedules_match_pinned_digest() {
     let table = build(1);
     let eval = Evaluator::new(&space, &table, 12);
 
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    // Everything the digest covers, in order.
+    let mut bytes = Vec::new();
     let mut replayed = None;
     for (objective, budget) in [
         (Objective::Throughput, Budget::PeakPower(40.0)),
@@ -53,8 +48,8 @@ fn schedules_match_pinned_digest() {
         for kind in SystemKind::ALL {
             let r = search_system(&eval, kind, objective, budget)
                 .unwrap_or_else(|| panic!("{kind:?} {objective:?} feasible"));
-            fnv(&mut digest, format!("{:?}", r.cores).as_bytes());
-            fnv(&mut digest, &r.score.to_bits().to_le_bytes());
+            bytes.extend_from_slice(format!("{:?}", r.cores).as_bytes());
+            bytes.extend_from_slice(&r.score.to_bits().to_le_bytes());
             if kind == SystemKind::CompositeFull && objective == Objective::Throughput {
                 replayed = Some(r.cores);
             }
@@ -68,18 +63,16 @@ fn schedules_match_pinned_digest() {
         .replay(&cores)
         .expect("fault-free replay");
     assert!(report.migrations > 0, "the replay must migrate threads");
-    fnv(&mut digest, &report.migrations.to_le_bytes());
+    bytes.extend_from_slice(&report.migrations.to_le_bytes());
     let mut downgrades: Vec<_> = report.downgrades.iter().collect();
     downgrades.sort();
     for (label, n) in downgrades {
-        fnv(&mut digest, label.as_bytes());
-        fnv(&mut digest, &n.to_le_bytes());
+        bytes.extend_from_slice(label.as_bytes());
+        bytes.extend_from_slice(&n.to_le_bytes());
     }
-    fnv(&mut digest, &report.throughput_free.to_bits().to_le_bytes());
-    fnv(
-        &mut digest,
-        &report.throughput_with_costs.to_bits().to_le_bytes(),
-    );
+    bytes.extend_from_slice(&report.throughput_free.to_bits().to_le_bytes());
+    bytes.extend_from_slice(&report.throughput_with_costs.to_bits().to_le_bytes());
 
+    let digest = fnv1a(&bytes);
     assert_eq!(digest, SCHEDULE_DIGEST, "schedule digest {digest:#018x}");
 }

@@ -221,34 +221,6 @@ impl DecodeFrontend {
         };
         (source, slots)
     }
-
-    /// Supplies a batch of macro-ops in order, invoking `on_decode` for
-    /// each record that missed the micro-op cache (and therefore
-    /// engaged the legacy decode pipeline and the instruction fetch
-    /// path). Returns the number of records supplied from the micro-op
-    /// cache.
-    ///
-    /// Behaviour and counters are exactly those of calling
-    /// [`DecodeFrontend::supply`] once per record; the batch entry
-    /// point lets a measurement pass stream a whole trace without
-    /// per-call dispatch and gives the caller a hook to charge
-    /// instruction-side structures (e.g. L1I lookups) only on
-    /// decode-path supplies.
-    pub fn supply_batch<F>(&mut self, recs: &[MacroRecord], mut on_decode: F) -> u64
-    where
-        F: FnMut(&MacroRecord),
-    {
-        let mut hits = 0;
-        for rec in recs {
-            let (src, _) = self.supply(rec);
-            if src == SupplySource::UopCache {
-                hits += 1;
-            } else {
-                on_decode(rec);
-            }
-        }
-        hits
-    }
 }
 
 #[cfg(test)]
@@ -353,31 +325,6 @@ mod tests {
             bytes_after_miss,
             "hits bypass the ILD"
         );
-    }
-
-    #[test]
-    fn batch_supply_matches_per_record_supply() {
-        // A stream with reuse (hits) and fresh windows (misses).
-        let recs: Vec<MacroRecord> = (0..200u64)
-            .map(|i| rec((i % 50) * 32, 1 + (i % 3) as u8))
-            .collect();
-
-        let mut serial = DecodeFrontend::new(DecoderConfig::for_complexity(Complexity::X86));
-        let mut serial_decoded = Vec::new();
-        for r in &recs {
-            let (src, _) = serial.supply(r);
-            if src != SupplySource::UopCache {
-                serial_decoded.push(r.pc);
-            }
-        }
-
-        let mut batch = DecodeFrontend::new(DecoderConfig::for_complexity(Complexity::X86));
-        let mut batch_decoded = Vec::new();
-        let hits = batch.supply_batch(&recs, |r| batch_decoded.push(r.pc));
-
-        assert_eq!(*batch.stats(), *serial.stats());
-        assert_eq!(hits, serial.stats().uop_cache_hits);
-        assert_eq!(batch_decoded, serial_decoded, "on_decode fires per miss");
     }
 
     #[test]

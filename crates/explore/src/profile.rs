@@ -21,7 +21,7 @@ use cisa_sim::{
     simulate, simulate_shared_frontend, Cache, CoreConfig, ExecSemantics, PredictorKind,
     SupplyTrace, WindowConfig,
 };
-use cisa_workloads::{generate, DynUop, PhaseSpec, TraceArena, TraceGenerator, TraceParams};
+use cisa_workloads::{generate, PhaseSpec, TraceArena, TraceParams};
 
 /// Trace length used by probes (micro-ops).
 pub const PROBE_UOPS: usize = 48_000;
@@ -554,9 +554,9 @@ pub fn probe_compiled(spec: &PhaseSpec, code: &CompiledCode) -> PhaseProfile {
 }
 
 /// The original multi-pass probe, kept as the executable specification
-/// for [`probe_compiled`]: it walks the trace once per measurement
-/// (mix, three predictor passes, two cache-geometry passes, the
-/// frontend pass, the store-forwarding pass with the historical
+/// for [`probe_compiled`]: it walks the trace arena once per
+/// measurement (mix, three predictor passes, two cache-geometry passes,
+/// the frontend pass, the store-forwarding pass with the historical
 /// unbounded `HashMap`) and runs each calibration simulation with its
 /// own decode-supply capture. Tests assert the fused implementation is
 /// bit-identical.
@@ -567,13 +567,14 @@ pub fn probe_compiled_reference(spec: &PhaseSpec, code: &CompiledCode) -> PhaseP
         max_uops: PROBE_UOPS,
         seed: PROBE_SEED,
     };
-    let trace: Vec<DynUop> = TraceGenerator::new(code, spec, params).collect();
-    let n = trace.len().max(1) as f64;
+    let arena = TraceArena::build(code, spec, params);
+    let (kinds, pcs, addrs) = (arena.kinds(), arena.pcs(), arena.mem_addrs());
+    let n = arena.len().max(1) as f64;
 
     // Micro-op mix.
     let mut mix = [0.0f64; 8];
-    for u in &trace {
-        mix[mix_idx(u.kind)] += 1.0;
+    for &kind in kinds {
+        mix[mix_idx(kind)] += 1.0;
     }
     for m in &mut mix {
         *m /= n;
@@ -584,11 +585,12 @@ pub fn probe_compiled_reference(spec: &PhaseSpec, code: &CompiledCode) -> PhaseP
     for kind in PredictorKind::ALL {
         let mut p = kind.build();
         let mut misses = 0u64;
-        for u in trace.iter().filter(|u| u.kind == MicroOpKind::Branch) {
-            if p.predict(u.pc) != u.taken {
+        for i in (0..arena.len()).filter(|&i| kinds[i] == MicroOpKind::Branch) {
+            let taken = arena.is_taken(i);
+            if p.predict(pcs[i]) != taken {
                 misses += 1;
             }
-            p.update(u.pc, u.taken);
+            p.update(pcs[i], taken);
         }
         mispredict_per_uop[pred_idx(kind)] = misses as f64 / n;
     }
@@ -600,12 +602,15 @@ pub fn probe_compiled_reference(spec: &PhaseSpec, code: &CompiledCode) -> PhaseP
         let mut l1 = Cache::new(l1_kb * 1024, 4);
         let mut l2a = Cache::new(1024 * 1024, 4);
         let mut l2b = Cache::new(2048 * 1024, 8);
-        for u in trace.iter().filter(|u| u.kind.is_mem()) {
-            if !l1.access(u.mem_addr) {
-                if !l2a.access(u.mem_addr) {
+        for addr in (0..arena.len())
+            .filter(|&i| kinds[i].is_mem())
+            .map(|i| addrs[i])
+        {
+            if !l1.access(addr) {
+                if !l2a.access(addr) {
                     l2_miss_per_uop[i][0] += 1.0;
                 }
-                if !l2b.access(u.mem_addr) {
+                if !l2b.access(addr) {
                     l2_miss_per_uop[i][1] += 1.0;
                 }
             }
@@ -616,27 +621,26 @@ pub fn probe_compiled_reference(spec: &PhaseSpec, code: &CompiledCode) -> PhaseP
     }
 
     // Instruction-side behaviour: micro-op cache + L1I per size. The
-    // batch supply path charges the L1I caches only for macro-ops that
-    // engaged the decode pipeline.
+    // L1I caches are charged only for macro-ops that engaged the decode
+    // pipeline.
     let mut fe = DecodeFrontend::new(DecoderConfig::for_complexity(fs.complexity()));
     let mut l1i = [Cache::new(32 * 1024, 4), Cache::new(64 * 1024, 4)];
-    let recs: Vec<MacroRecord> = trace
-        .iter()
-        .filter(|u| u.first)
-        .map(|u| MacroRecord {
-            pc: u.pc,
-            len: u.len,
-            uops: u.macro_uops,
+    let mut macros = 0u64;
+    for i in (0..arena.len()).filter(|&i| arena.is_first(i)) {
+        macros += 1;
+        let (src, _) = fe.supply(&MacroRecord {
+            pc: pcs[i],
+            len: arena.lens()[i],
+            uops: arena.macro_uop_counts()[i],
             fusible_cmp: false,
-            is_branch: u.kind == MicroOpKind::Branch,
-        })
-        .collect();
-    let macros = recs.len() as u64;
-    fe.supply_batch(&recs, |rec| {
-        for c in &mut l1i {
-            c.access(rec.pc);
+            is_branch: kinds[i] == MicroOpKind::Branch,
+        });
+        if src != SupplySource::UopCache {
+            for c in &mut l1i {
+                c.access(pcs[i]);
+            }
         }
-    });
+    }
     let uopc_hit_rate = fe.stats().uop_cache_hit_rate();
     let l1i_miss_per_uop = [l1i[0].misses as f64 / n, l1i[1].misses as f64 / n];
 
@@ -644,13 +648,13 @@ pub fn probe_compiled_reference(spec: &PhaseSpec, code: &CompiledCode) -> PhaseP
     // window).
     let mut last_store: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
     let mut fwd = 0u64;
-    for (i, u) in trace.iter().enumerate() {
-        match u.kind {
+    for (i, (&kind, &addr)) in kinds.iter().zip(addrs).enumerate() {
+        match kind {
             MicroOpKind::Store => {
-                last_store.insert(u.mem_addr & !7, i);
+                last_store.insert(addr & !7, i);
             }
             MicroOpKind::Load => {
-                if let Some(&j) = last_store.get(&(u.mem_addr & !7)) {
+                if let Some(&j) = last_store.get(&(addr & !7)) {
                     if i - j < 64 {
                         fwd += 1;
                     }
@@ -662,7 +666,6 @@ pub fn probe_compiled_reference(spec: &PhaseSpec, code: &CompiledCode) -> PhaseP
 
     // Reference cycle simulations for calibration, each with its own
     // decode frontend.
-    let arena = TraceArena::build(code, spec, params);
     let ooo_res = simulate(&reference_ooo(fs), &arena);
     let ooo_large_res = simulate(&reference_ooo_large(fs), &arena);
     let io_res = simulate(&reference_io(fs), &arena);

@@ -171,8 +171,12 @@ pub struct ShardedProfileStore {
 impl ShardedProfileStore {
     /// Default shard count for serving workloads.
     pub const DEFAULT_SHARDS: usize = 16;
-    /// Default per-shard capacity (16 shards x 256 entries comfortably
-    /// holds a full 49 x 26 probe grid with room for online traffic).
+    /// Default per-shard capacity: 16 shards x 256 = 4,096 profiles.
+    /// Only online refinement writes a serving store (26 profiles per
+    /// refined spec; the batch grid never enters it), so the memory
+    /// tier holds about 157 refined specs, fewer than the 512 rows of
+    /// the serving layer's default row LRU. Without a disk tier, a
+    /// spec's profiles usually leave memory before its row does.
     pub const DEFAULT_SHARD_CAPACITY: usize = 256;
 
     /// A store with the default geometry over an optional disk tier.

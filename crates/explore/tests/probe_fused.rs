@@ -8,6 +8,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use cisa_compiler::{compile, CompileOptions};
+use cisa_explore::cache::fnv1a;
 use cisa_explore::profile::{probe_compiled, probe_compiled_reference};
 use cisa_explore::{
     codegen_fingerprint, probes_run, DesignSpace, PerfTable, PhaseProfile, StoreForwardTable,
@@ -15,7 +16,7 @@ use cisa_explore::{
 };
 use cisa_isa::uop::MicroOpKind;
 use cisa_isa::{FeatureSet, VendorIsa};
-use cisa_workloads::{all_phases, generate, PhaseSpec, TraceGenerator, TraceParams};
+use cisa_workloads::{all_phases, generate, PhaseSpec, TraceArena, TraceParams};
 
 /// The global probe counter is process-wide; tests that measure deltas
 /// must not run concurrently with other probing tests in this binary.
@@ -84,16 +85,13 @@ fn full_grid() -> &'static [PhaseProfile] {
     })
 }
 
-/// A hand-rolled 64-bit FNV-1a (stable across Rust versions) over the
-/// little-endian bit patterns of `values`, in order.
+/// [`fnv1a`] over the little-endian bit patterns of `values`, in order.
 fn fnv1a_bits(values: impl IntoIterator<Item = f64>) -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for x in values {
-        for b in x.to_bits().to_le_bytes() {
-            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    digest
+    let bytes: Vec<u8> = values
+        .into_iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .collect();
+    fnv1a(&bytes)
 }
 
 /// The full grid, hashed over every profile's `to_values()` bit
@@ -154,9 +152,10 @@ fn bounded_forward_table_matches_hashmap_on_all_phases() {
         let mut table = StoreForwardTable::new();
         let mut map_fwd = 0u64;
         let mut table_fwd = 0u64;
-        for (i, u) in TraceGenerator::new(&code, &spec, params).enumerate() {
-            let line = u.mem_addr & !7;
-            match u.kind {
+        let arena = TraceArena::build(&code, &spec, params);
+        for (i, (&kind, &addr)) in arena.kinds().iter().zip(arena.mem_addrs()).enumerate() {
+            let line = addr & !7;
+            match kind {
                 MicroOpKind::Store => {
                     last_store.insert(line, i);
                     table.record_store(line, i);

@@ -16,7 +16,7 @@
 //! Failures replay exactly: every decision is a pure function of the
 //! seed baked into `SEEDS`.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -28,6 +28,9 @@ use cisa_explore::{
 use cisa_serve::json::{parse, Json};
 use cisa_serve::{ServeConfig, Server, ServerState};
 use cisa_workloads::PhaseSpec;
+
+mod common;
+use common::{counter, read_reply};
 
 /// The fixed fault matrix. Every seed runs the full scenario sequence;
 /// a failure names its seed, and rerunning replays it bit-for-bit.
@@ -51,38 +54,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("cisa-chaos-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
-}
-
-/// One complete response off the stream: `(status, head, body)`.
-fn read_reply(stream: &mut TcpStream) -> Option<(u16, String, String)> {
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 1024];
-    let head_end = loop {
-        if let Some(p) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-            break p + 4;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return None,
-            Ok(n) => raw.extend_from_slice(&buf[..n]),
-        }
-    };
-    let head = String::from_utf8(raw[..head_end].to_vec()).ok()?;
-    let status: u16 = head.split(' ').nth(1)?.parse().ok()?;
-    let content_length: usize = head.lines().find_map(|l| {
-        let lower = l.to_ascii_lowercase();
-        lower
-            .strip_prefix("content-length:")
-            .map(|v| v.trim().parse().ok())?
-    })?;
-    let mut body = raw[head_end..].to_vec();
-    while body.len() < content_length {
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return None,
-            Ok(n) => body.extend_from_slice(&buf[..n]),
-        }
-    }
-    body.truncate(content_length);
-    Some((status, head, String::from_utf8(body).ok()?))
 }
 
 /// One-shot request with a hard hang bound; `None` if the server
@@ -111,10 +82,6 @@ fn affinity_raw(body: &str) -> Vec<u8> {
         body.len()
     )
     .into_bytes()
-}
-
-fn counter(name: &str) -> u64 {
-    cisa_obs::snapshot().counter(name)
 }
 
 /// Polls until `cond` holds; panics (naming `what`) if it never does.

@@ -4,7 +4,7 @@
 //! Each test builds its own [`ServerState`] (lifecycle and breaker are
 //! per-state) over one shared, expensively-built performance table.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -13,6 +13,9 @@ use cisa_explore::{DesignSpace, PerfTable, ShardedProfileStore, SweepRunner};
 use cisa_serve::json::{parse, Json};
 use cisa_serve::{ServeConfig, Server, ServerState};
 use cisa_workloads::PhaseSpec;
+
+mod common;
+use common::{counter, read_reply};
 
 fn fixture() -> &'static (PerfTable, Vec<PhaseSpec>) {
     static FIXTURE: OnceLock<(PerfTable, Vec<PhaseSpec>)> = OnceLock::new();
@@ -37,42 +40,6 @@ fn make_server(config: ServeConfig) -> (Server, Arc<ServerState>) {
     (server, state)
 }
 
-/// One complete HTTP response read off a keep-alive stream:
-/// `(status, headers, body)`.
-fn read_reply(stream: &mut TcpStream) -> Option<(u16, String, String)> {
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 1024];
-    let head_end = loop {
-        if let Some(p) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-            break p + 4;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return None,
-            Ok(n) => raw.extend_from_slice(&buf[..n]),
-        }
-    };
-    let head = String::from_utf8(raw[..head_end].to_vec()).ok()?;
-    let status: u16 = head.split(' ').nth(1)?.parse().ok()?;
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| {
-            l.to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(str::trim)
-                .map(String::from)
-        })
-        .and_then(|v| v.parse().ok())?;
-    let mut body = raw[head_end..].to_vec();
-    while body.len() < content_length {
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return None,
-            Ok(n) => body.extend_from_slice(&buf[..n]),
-        }
-    }
-    body.truncate(content_length);
-    Some((status, head, String::from_utf8(body).ok()?))
-}
-
 fn send_get(stream: &mut TcpStream, target: &str) -> std::io::Result<()> {
     stream.write_all(
         format!("GET {target} HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n").as_bytes(),
@@ -88,10 +55,6 @@ fn post_affinity(addr: std::net::SocketAddr, body: &str) -> (u16, String, String
     stream.write_all(head.as_bytes()).expect("write head");
     stream.write_all(body.as_bytes()).expect("write body");
     read_reply(&mut stream).expect("complete response")
-}
-
-fn counter(name: &str) -> u64 {
-    cisa_obs::snapshot().counter(name)
 }
 
 #[test]

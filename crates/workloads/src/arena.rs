@@ -1,20 +1,21 @@
 //! Packed structure-of-arrays trace storage.
 //!
-//! [`TraceArena`] materializes one (phase, feature set) trace from a
-//! [`TraceGenerator`] exactly once into packed per-field columns, so
-//! every consumer streams over dense, contiguous memory:
+//! [`TraceArena`] materializes one (phase, feature set) trace from the
+//! crate's private trace generator exactly once into packed per-field
+//! columns, so every consumer streams over dense, contiguous memory:
 //!
 //! - the fused probe in `cisa-explore` reads only the columns it needs
 //!   (kind, pc, mem_addr, flags, len, macro_uops) in one cache-friendly
-//!   sweep;
+//!   sweep, and the multi-pass reference probe re-reads the same
+//!   columns once per measurement;
 //! - the cycle simulator in `cisa-sim` reads the columns directly, so
 //!   its calibration runs pay neither trace generation nor a per-core
-//!   rebuild of [`DynUop`] values.
+//!   rebuild of micro-op records.
 //!
-//! Entry `i` of every column equals the matching field of the
-//! generator's `i`-th [`DynUop`]. The arena keeps only the fields some
-//! consumer reads: the memory-locality class, branch target and
-//! vector flag stay in the generator's output.
+//! The arena is the only trace form outside this crate. Entry `i` of
+//! every column equals the matching field of the generator's `i`-th
+//! micro-op, and the generator emits exactly the fields the arena
+//! keeps.
 
 use cisa_compiler::CompiledCode;
 use cisa_isa::uop::MicroOpKind;
@@ -50,18 +51,18 @@ impl TraceArena {
     /// is the only trace generation a probe pays; every measurement and
     /// simulation pass afterwards streams from the arena.
     ///
-    /// The trace is collected once and then transposed in chunks:
-    /// every chunk of micro-ops is swept once per column while it is
-    /// still cache-resident, so the source `Vec<DynUop>` streams
-    /// through the cache hierarchy a single time instead of once per
-    /// column, and each per-column inner loop still compiles to a
-    /// tight single-field copy.
+    /// The generator fills one reusable chunk of micro-ops at a time,
+    /// and each chunk is swept once per column while it is still
+    /// cache-resident, so each per-column inner loop compiles to a
+    /// tight single-field copy and no whole-trace copy of the micro-op
+    /// records is ever held.
     pub fn build(code: &CompiledCode, spec: &PhaseSpec, params: TraceParams) -> Self {
-        // The generator emits exactly `max_uops` micro-ops. The columns
-        // are allocated before the transient trace copy because the
-        // heap layout is measurable: allocated after it, they raised a
-        // single-worker probe sweep's peak RSS from 8.4 to 10.5 MB
-        // under glibc's allocator.
+        // The generator emits exactly `max_uops` micro-ops, so every
+        // column is allocated once at its final size. Peak memory
+        // follows glibc's heap layout, not just live bytes: a collected
+        // whole-trace copy left a hole whose size set a single-worker
+        // probe sweep's peak RSS (8.4 MB with 40-byte records, 10.1 MB
+        // with 32-byte ones); the 128 KB chunk leaves none.
         let n = params.max_uops;
         let mut arena = TraceArena {
             kind: Vec::with_capacity(n),
@@ -75,10 +76,17 @@ impl TraceArena {
             macro_uops: Vec::with_capacity(n),
             mem_addr: Vec::with_capacity(n),
         };
-        let uops: Vec<DynUop> = TraceGenerator::new(code, spec, params).collect();
-        // ~4k uops x ~40 bytes stays within L2 while all ten column
-        // sweeps revisit the chunk.
-        for chunk in uops.chunks(4096) {
+        let mut uops = TraceGenerator::new(code, spec, params);
+        // 4,096 uops x 32 bytes (128 KB) stays within L2 while all ten
+        // column sweeps revisit the chunk.
+        const CHUNK: usize = 4096;
+        let mut chunk: Vec<DynUop> = Vec::with_capacity(CHUNK);
+        loop {
+            chunk.clear();
+            chunk.extend(uops.by_ref().take(CHUNK));
+            if chunk.is_empty() {
+                break;
+            }
             arena.kind.extend(chunk.iter().map(|u| u.kind));
             arena.dst.extend(chunk.iter().map(|u| u.dst));
             arena.src1.extend(chunk.iter().map(|u| u.src1));
@@ -183,30 +191,29 @@ mod tests {
     use cisa_compiler::{compile, CompileOptions};
     use cisa_isa::FeatureSet;
 
-    fn compiled(bench: &str, fs: FeatureSet) -> (CompiledCode, PhaseSpec) {
-        let spec = all_phases()
-            .into_iter()
-            .find(|p| p.benchmark == bench)
-            .unwrap();
-        let code = compile(&generate(&spec), &fs, &CompileOptions::default()).unwrap();
-        (code, spec)
-    }
-
+    /// The only generator-to-arena check: every probe and simulation
+    /// reads the arena, so this carries their trace fidelity. Inputs are
+    /// the probe's own trace parameters (48,000 micro-ops, seed
+    /// `0xBEEF`) on the first phase of every benchmark, for a full-x86
+    /// and a microx86 feature set.
     #[test]
     fn arena_reconstructs_the_generator_stream_exactly() {
-        for (bench, fs) in [
-            ("mcf", FeatureSet::x86_64()),
-            ("lbm", FeatureSet::x86_64()),
-            ("sjeng", "microx86-16D-32W".parse().unwrap()),
-        ] {
-            let (code, spec) = compiled(bench, fs);
+        let microx86: FeatureSet = "microx86-16D-32W".parse().unwrap();
+        let firsts: Vec<PhaseSpec> = all_phases().into_iter().filter(|p| p.index == 0).collect();
+        assert_eq!(firsts.len(), 8);
+        for (spec, fs) in firsts
+            .iter()
+            .flat_map(|spec| [(spec, FeatureSet::x86_64()), (spec, microx86)])
+        {
+            let code = compile(&generate(spec), &fs, &CompileOptions::default()).unwrap();
+            let case = format!("{} on {fs}", spec.name());
             let params = TraceParams {
-                max_uops: 20_000,
+                max_uops: 48_000,
                 seed: 0xBEEF,
             };
-            let direct: Vec<DynUop> = TraceGenerator::new(&code, &spec, params).collect();
-            let arena = TraceArena::build(&code, &spec, params);
-            assert_eq!(arena.len(), direct.len(), "{bench}");
+            let direct: Vec<DynUop> = TraceGenerator::new(&code, spec, params).collect();
+            let arena = TraceArena::build(&code, spec, params);
+            assert_eq!(arena.len(), direct.len(), "{case}");
             for (i, u) in direct.iter().enumerate() {
                 let columns = (
                     arena.kinds()[i],
@@ -234,7 +241,7 @@ mod tests {
                     u.mem_addr,
                     u.taken,
                 );
-                assert_eq!(columns, fields, "{bench} uop {i}");
+                assert_eq!(columns, fields, "{case} uop {i}");
             }
         }
     }

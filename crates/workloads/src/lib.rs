@@ -8,10 +8,12 @@
 //! branches, lbm's vectorizable FP streams, mcf's pointer chasing), and
 //! the [`generator`] turns each phase into seeded IR for the compiler.
 //!
-//! [`trace`] expands compiled code into dynamic micro-op streams (with
-//! memory addresses from the locality profile and branch outcomes from
-//! the behaviour annotations) for the cycle-level simulator, and
-//! [`simpoint`] implements the BBV + k-means phase analysis methodology.
+//! [`TraceArena`] expands compiled code into one dynamic micro-op trace
+//! (memory addresses from the locality profile, branch outcomes from
+//! the behaviour annotations), stored as packed columns. It is the only
+//! trace form outside this crate: the probe, the cycle-level simulator
+//! and the experiment binaries all read its columns. [`simpoint`]
+//! implements the BBV + k-means phase analysis methodology.
 
 #![warn(missing_docs)]
 
@@ -19,9 +21,9 @@ pub mod arena;
 pub mod benchmarks;
 pub mod generator;
 pub mod simpoint;
-pub mod trace;
+mod trace;
 
 pub use arena::TraceArena;
 pub use benchmarks::{all_benchmarks, all_phases, benchmark, Benchmark, BranchStyle, PhaseSpec};
 pub use generator::generate;
-pub use trace::{DynUop, TraceGenerator, TraceParams};
+pub use trace::TraceParams;

@@ -8,11 +8,11 @@
 //! phase's locality profile (stack slots for spill code, advancing
 //! streams, uniform draws over the working set, pointer-chase regions).
 //!
-//! The produced [`DynUop`] stream feeds the probe and the cycle-level
-//! pipeline models through a [`crate::TraceArena`], and SimPoint-style
-//! clustering directly. PCs are real byte addresses from the encoder
-//! layout, so instruction-cache and micro-op-cache models see true
-//! code footprints (Thumb-like density effects included).
+//! The produced [`DynUop`] stream is private to this crate: every
+//! consumer reads it through a [`crate::TraceArena`], which transposes
+//! it into packed columns once. PCs are real byte addresses from the
+//! encoder layout, so instruction-cache and micro-op-cache models see
+//! true code footprints (Thumb-like density effects included).
 
 use cisa_compiler::ir::{BranchPattern, Terminator};
 use cisa_compiler::CompiledCode;
@@ -49,9 +49,10 @@ impl Default for TraceParams {
     }
 }
 
-/// One dynamic micro-op.
+/// One dynamic micro-op: exactly the fields [`crate::TraceArena`]
+/// keeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DynUop {
+pub(crate) struct DynUop {
     /// Operation kind.
     pub kind: MicroOpKind,
     /// Destination architectural register or [`MicroOp::NO_REG`].
@@ -72,14 +73,8 @@ pub struct DynUop {
     pub macro_uops: u8,
     /// Memory address (valid when `kind.is_mem()`).
     pub mem_addr: u64,
-    /// Memory locality class (valid when `kind.is_mem()`).
-    pub mem_locality: Option<MemLocality>,
     /// For control micro-ops: was the branch taken?
     pub taken: bool,
-    /// For control micro-ops: target byte PC.
-    pub target: u64,
-    /// Whether the op came from a vectorized (packed SIMD) block.
-    pub vector: bool,
 }
 
 /// Per-terminator branch-outcome state.
@@ -106,7 +101,6 @@ struct StaticBlock {
     term: Terminator,
     term_pc: u64,
     term_len: u8,
-    end_pc: u64,
     vectorized: bool,
     /// Index of this block's first instruction in the generator's
     /// `stream_cursors`.
@@ -115,9 +109,8 @@ struct StaticBlock {
 
 /// Walks compiled code, yielding dynamic micro-ops.
 #[derive(Debug)]
-pub struct TraceGenerator {
+pub(crate) struct TraceGenerator {
     blocks: Vec<StaticBlock>,
-    block_pcs: Vec<u64>,
     branch_states: Vec<Option<BranchState>>,
     /// Stream cursor per static instruction, block by block (a block's
     /// instructions start at its `cursor_base`).
@@ -136,7 +129,7 @@ pub struct TraceGenerator {
 impl TraceGenerator {
     /// Builds a trace generator for compiled code plus its phase's
     /// locality profile.
-    pub fn new(code: &CompiledCode, spec: &PhaseSpec, params: TraceParams) -> Self {
+    pub(crate) fn new(code: &CompiledCode, spec: &PhaseSpec, params: TraceParams) -> Self {
         let encoder = Encoder::new(code.fs);
         // 64-bit pointers expand the data working set (Section III,
         // "wide pointers potentially expand the cache working set").
@@ -146,11 +139,9 @@ impl TraceGenerator {
         };
         let mut pc = 0x0040_0000u64; // text base
         let mut blocks = Vec::with_capacity(code.blocks.len());
-        let mut block_pcs = Vec::with_capacity(code.blocks.len());
         let mut branch_states = Vec::with_capacity(code.blocks.len());
         let mut n_insts = 0;
         for b in &code.blocks {
-            block_pcs.push(pc);
             let mut insts = Vec::with_capacity(b.insts.len());
             for inst in &b.insts {
                 let len = encoder.encode(inst).map(|e| e.len()).unwrap_or(4) as u8;
@@ -163,19 +154,13 @@ impl TraceGenerator {
                 pc += len as u64;
             }
             let (term_len, state) = match &b.term {
-                Terminator::Branch {
-                    behavior, taken, ..
-                } => {
+                Terminator::Branch { behavior, .. } => {
                     let lanes_scale = if b.vectorized { 4 } else { 1 };
                     let state = match behavior.pattern {
                         BranchPattern::LoopBack { trip } => {
                             // Back-edge of a vectorized loop iterates
                             // 1/lanes as often.
                             let t = (trip / lanes_scale).max(1);
-                            // Only treat as a counted loop if this
-                            // really is a back-edge (taken target at or
-                            // before this block); otherwise biased.
-                            let _ = taken;
                             BranchState::Loop { trip: t, count: 0 }
                         }
                         BranchPattern::Periodic { period } => {
@@ -206,7 +191,6 @@ impl TraceGenerator {
                 term: b.term,
                 term_pc,
                 term_len,
-                end_pc: pc,
                 vectorized: b.vectorized,
                 cursor_base: n_insts,
             });
@@ -215,7 +199,6 @@ impl TraceGenerator {
 
         TraceGenerator {
             blocks,
-            block_pcs,
             branch_states,
             stream_cursors: vec![0; n_insts],
             rng: SmallRng::seed_from_u64(params.seed ^ spec.seed),
@@ -316,14 +299,11 @@ impl Iterator for TraceGenerator {
             let macro_uops = sinst.uops.len() as u8;
             let pc = sinst.pc;
             let len = sinst.len;
-            let vector = block.vectorized;
-            let locality = sinst
-                .inst
-                .mem
-                .map(|m| m.locality)
-                .or_else(|| uop.kind.is_mem().then_some(MemLocality::Stack));
+            // Memory micro-ops of an instruction without a memory
+            // operand address the stack.
+            let locality = sinst.inst.mem.map_or(MemLocality::Stack, |m| m.locality);
             let (bid, iid) = (self.cur_block as u32, self.cur_inst as u32);
-            let is_wide_vec = vector || sinst.inst.wide;
+            let is_wide_vec = block.vectorized || sinst.inst.wide;
 
             self.cur_uop += 1;
             if self.cur_uop >= sinst.uops.len() {
@@ -331,12 +311,7 @@ impl Iterator for TraceGenerator {
                 self.cur_inst += 1;
             }
             let mem_addr = if uop.kind.is_mem() {
-                self.mem_addr(
-                    locality.unwrap_or(MemLocality::Stack),
-                    bid,
-                    iid,
-                    is_wide_vec,
-                )
+                self.mem_addr(locality, bid, iid, is_wide_vec)
             } else {
                 0
             };
@@ -352,13 +327,7 @@ impl Iterator for TraceGenerator {
                 first,
                 macro_uops,
                 mem_addr,
-                mem_locality: uop
-                    .kind
-                    .is_mem()
-                    .then(|| locality.unwrap_or(MemLocality::Stack)),
                 taken: false,
-                target: 0,
-                vector,
             });
         }
 
@@ -366,20 +335,13 @@ impl Iterator for TraceGenerator {
         let term = block.term;
         let term_pc = block.term_pc;
         let term_len = block.term_len;
-        let end_pc = block.end_pc;
-        let vector = block.vectorized;
         let bid = self.cur_block;
         match term {
             Terminator::Branch {
                 taken, not_taken, ..
             } => {
                 let t = self.sample_branch(bid);
-                let (next, target) = if t {
-                    (taken.idx(), self.block_pcs[taken.idx()])
-                } else {
-                    (not_taken.idx(), self.block_pcs[not_taken.idx()])
-                };
-                self.cur_block = next;
+                self.cur_block = if t { taken.idx() } else { not_taken.idx() };
                 self.cur_inst = 0;
                 self.cur_uop = 0;
                 self.emitted += 1;
@@ -394,14 +356,10 @@ impl Iterator for TraceGenerator {
                     first: true,
                     macro_uops: 1,
                     mem_addr: 0,
-                    mem_locality: None,
                     taken: t,
-                    target: if t { target } else { end_pc },
-                    vector,
                 })
             }
             Terminator::Jump(t) => {
-                let target = self.block_pcs[t.idx()];
                 self.cur_block = t.idx();
                 self.cur_inst = 0;
                 self.cur_uop = 0;
@@ -417,10 +375,7 @@ impl Iterator for TraceGenerator {
                     first: true,
                     macro_uops: 1,
                     mem_addr: 0,
-                    mem_locality: None,
                     taken: true,
-                    target,
-                    vector,
                 })
             }
             Terminator::Ret => {
@@ -440,10 +395,7 @@ impl Iterator for TraceGenerator {
                     first: true,
                     macro_uops: 1,
                     mem_addr: 0,
-                    mem_locality: None,
                     taken: true,
-                    target: self.block_pcs[0],
-                    vector,
                 })
             }
         }
@@ -490,26 +442,28 @@ mod tests {
 
     #[test]
     fn memory_uops_have_addresses_in_their_regions() {
-        let (t, _) = trace_for("mcf", FeatureSet::x86_64(), 20_000);
-        let mut seen_mem = 0;
-        for u in &t {
-            if u.kind.is_mem() {
-                seen_mem += 1;
-                assert_ne!(u.mem_addr, 0, "mem uop without address");
-                match u.mem_locality.unwrap() {
-                    MemLocality::Stack => assert!(u.mem_addr >= STACK_BASE),
-                    MemLocality::Stream => {
-                        assert!((STREAM_BASE..STACK_BASE).contains(&u.mem_addr))
-                    }
-                    MemLocality::WorkingSet => {
-                        assert!((WS_BASE..CHASE_BASE).contains(&u.mem_addr))
-                    }
-                    MemLocality::PointerChase => {
-                        assert!((CHASE_BASE..STREAM_BASE).contains(&u.mem_addr))
-                    }
-                }
-            }
+        let spec = all_phases()
+            .into_iter()
+            .find(|p| p.benchmark == "mcf")
+            .unwrap();
+        let code = compile(
+            &generate(&spec),
+            &FeatureSet::x86_64(),
+            &CompileOptions::default(),
+        )
+        .unwrap();
+        let mut tg = TraceGenerator::new(&code, &spec, TraceParams::default());
+        let bid = tg.blocks.iter().position(|b| !b.insts.is_empty()).unwrap() as u32;
+        for (loc, region) in [
+            (MemLocality::Stack, STACK_BASE..STACK_BASE + 64 * 8),
+            (MemLocality::Stream, STREAM_BASE..STACK_BASE),
+            (MemLocality::WorkingSet, WS_BASE..CHASE_BASE),
+            (MemLocality::PointerChase, CHASE_BASE..STREAM_BASE),
+        ] {
+            let addr = tg.mem_addr(loc, bid, 0, false);
+            assert!(region.contains(&addr), "{loc:?} at {addr:#x}");
         }
+        let seen_mem = tg.filter(|u| u.kind.is_mem()).count();
         assert!(seen_mem > 1000, "mcf must be memory heavy");
     }
 
@@ -526,13 +480,14 @@ mod tests {
 
     #[test]
     fn loop_back_edges_follow_trip_counts() {
-        // lbm phase 0: hot loop trip 1000; back edge taken 999/1000.
+        // lbm phase 0: hot loop trip 1000; back edge taken 999/1000. A
+        // taken back edge is a taken branch followed by a lower PC.
         let (t, _) = trace_for("lbm", FeatureSet::x86_64(), 60_000);
-        let loop_branches: Vec<_> = t
-            .iter()
-            .filter(|u| u.kind == MicroOpKind::Branch && u.taken && u.target < u.pc)
-            .collect();
-        assert!(!loop_branches.is_empty(), "must see taken back-edges");
+        let back_edges = t
+            .windows(2)
+            .filter(|w| w[0].kind == MicroOpKind::Branch && w[0].taken && w[1].pc < w[0].pc)
+            .count();
+        assert!(back_edges > 0, "must see taken back-edges");
     }
 
     #[test]
@@ -558,7 +513,7 @@ mod tests {
         let mut by_pc: std::collections::HashMap<u64, Vec<u64>> = std::collections::HashMap::new();
         for u in t
             .iter()
-            .filter(|u| u.mem_locality == Some(MemLocality::Stream))
+            .filter(|u| u.kind.is_mem() && (STREAM_BASE..STACK_BASE).contains(&u.mem_addr))
         {
             by_pc.entry(u.pc).or_default().push(u.mem_addr);
         }
@@ -597,11 +552,11 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_blocks_mark_uops() {
+    fn only_sse_cores_see_packed_ops() {
         let (t, _) = trace_for("lbm", FeatureSet::x86_64(), 40_000);
         assert!(
-            t.iter().any(|u| u.vector),
-            "lbm trace must contain vector-block uops"
+            t.iter().any(|u| u.kind == MicroOpKind::VecAlu),
+            "lbm's vectorized loops must emit packed ops on x86"
         );
         let (ts, _) = trace_for("lbm", "microx86-16D-32W".parse().unwrap(), 40_000);
         assert!(

@@ -3,6 +3,7 @@
 //! and energy accounting.
 
 use composite_isa::compiler::{compile, CompileOptions};
+use composite_isa::explore::cache::fnv1a;
 use composite_isa::isa::{Complexity, FeatureSet};
 use composite_isa::power::energy;
 use composite_isa::sim::{simulate, CoreConfig};
@@ -137,13 +138,6 @@ fn code_density_shrinks_with_fewer_prefixes() {
 /// simulation drove a live decode frontend micro-op by micro-op instead
 /// of replaying a captured supply stream.
 const SIM_DIGEST: u64 = 0xadfd_9c70_22ee_9829;
-
-/// FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// Pins the cycle simulator's every output bit: the first phase of each
 /// benchmark on a full-x86 and a microx86 feature set, through the

@@ -5,7 +5,7 @@
 use composite_isa::compiler::{compile, CompileOptions};
 use composite_isa::isa::FeatureSet;
 use composite_isa::sim::{simulate, CoreConfig};
-use composite_isa::workloads::{all_phases, generate, TraceArena, TraceGenerator, TraceParams};
+use composite_isa::workloads::{all_phases, generate, TraceArena, TraceParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,29 +51,22 @@ fn trace_seeds_vary_outcomes_not_layout() {
     for _ in 0..16 {
         let seed_a = rng.gen_range(0..100u64);
         let seed_b = rng.gen_range(100..200u64);
-        let ta: Vec<_> = TraceGenerator::new(
-            &code,
-            spec,
-            TraceParams {
-                max_uops: 600,
-                seed: seed_a,
-            },
-        )
-        .collect();
-        let tb: Vec<_> = TraceGenerator::new(
-            &code,
-            spec,
-            TraceParams {
-                max_uops: 600,
-                seed: seed_b,
-            },
-        )
-        .collect();
+        let trace = |seed| {
+            TraceArena::build(
+                &code,
+                spec,
+                TraceParams {
+                    max_uops: 600,
+                    seed,
+                },
+            )
+        };
+        let (ta, tb) = (trace(seed_a), trace(seed_b));
         // First macro-op is deterministic.
-        assert_eq!(ta[0].pc, tb[0].pc);
+        assert_eq!(ta.pcs()[0], tb.pcs()[0]);
         // PC sets intersect heavily (same static code).
-        let pcs_a: std::collections::HashSet<u64> = ta.iter().map(|u| u.pc).collect();
-        let pcs_b: std::collections::HashSet<u64> = tb.iter().map(|u| u.pc).collect();
+        let pcs_a: std::collections::HashSet<u64> = ta.pcs().iter().copied().collect();
+        let pcs_b: std::collections::HashSet<u64> = tb.pcs().iter().copied().collect();
         let shared = pcs_a.intersection(&pcs_b).count();
         assert!(
             shared * 2 >= pcs_a.len().min(pcs_b.len()),
